@@ -1,6 +1,9 @@
 // HARVEY-style lattice-Boltzmann demo (paper Sec. V-B): an acoustic
-// pressure pulse expanding in a closed box, computed with the Fig. 10 D2Q9
-// pull kernel through one JACC multidimensional parallel_for per step.
+// pressure pulse expanding in a closed box, computed with the D2Q9 pull
+// update of the paper's Fig. 10 through one JACC multidimensional
+// parallel_for per step.  lbm::simulation runs the register-fused form of
+// that kernel over two lattices; its results are bit-identical to the
+// paper's scratch-lattice listing.
 //
 //   ./lbm_pulse [size=96] [steps=60]
 //   JACC_BACKEND=cuda ./lbm_pulse 256 100

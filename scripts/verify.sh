@@ -30,9 +30,10 @@ if [[ $RUN_FULL -eq 1 ]]; then
   # The async layer (futures, queue-routed collectives, pipelined CG, graph
   # capture/replay) with two forced lanes and the pool disabled: staging and
   # future slots must degrade to plain allocation without changing any
-  # result.
+  # result.  CgQueued runs the solvers inside a queue_scope on a real lane:
+  # none may return with work still queued against its scratch.
   JACC_QUEUES=2 JACC_MEM_POOL=none ctest --test-dir build \
-    -R 'DistAsync|QueueTest|GraphTest|CgPipelined|CgGraphed|PipelinedSolve|GraphedSolve' \
+    -R 'DistAsync|QueueTest|GraphTest|CgPipelined|CgGraphed|CgQueued|PipelinedSolve|GraphedSolve' \
     --output-on-failure -j"$JOBS"
   # Kernel fusion (docs/FUSION.md): the whole suite must pass with both
   # fusion levels forced on, and with fusion forced off — `none` must keep
@@ -73,6 +74,13 @@ if [[ $RUN_FULL -eq 1 ]]; then
   ./build/bench/abl_auto_shard --benchmark_filter=NONE > /dev/null 2>&1
   test -s BENCH_auto_shard.json
   rm -f BENCH_auto_shard.json
+
+  # Fig. 11 acceptance: both series run the paper's Fig. 10 kernel, and the
+  # JACC one must stay within 5% of the device-specific one at 512^2 on
+  # every architecture model; the binary exits nonzero on a miss.
+  rm -f BENCH_fig11_lbm.json
+  ./build/bench/fig11_lbm --benchmark_filter=NONE > /dev/null
+  rm -f BENCH_fig11_lbm.json
 
   # Fusion ablation acceptance: the fused CG BLAS chain must charge >=1.5x
   # less simulated DRAM traffic than the eager chain (the binary exits

@@ -6,6 +6,19 @@
 namespace jaccx::cg {
 namespace {
 
+/// Inside a queue_scope the solver's plain launches are enqueued on the
+/// scope's queue, and the last of them (the p update, or x = 0 on the b = 0
+/// exit) may still be pending when the loop returns — against iteration
+/// scratch about to be released.  Drain that queue before returning; with
+/// no active queue every launch has already completed and this is one null
+/// check.
+void drain_active_queue() {
+  if (jacc::queue* q = jacc::detail::active_queue(); q != nullptr)
+      [[unlikely]] {
+    q->synchronize();
+  }
+}
+
 /// The shared CG loop; Apply is `void(const darray& in, darray& out)`.
 template <class Apply>
 cg_result cg_loop(index_t n, const Apply& apply, const darray& b, darray& x,
@@ -51,6 +64,7 @@ cg_result cg_loop(index_t n, const Apply& apply, const darray& b, darray& x,
     jacc::parallel_for(
         jacc::hints{.name = "cg.zero", .bytes_per_index = 8.0}, n,
         [](index_t i, darray& x_) { x_[i] = 0.0; }, x);
+    drain_active_queue();
     return {0, 0.0, true};
   }
 
@@ -106,6 +120,7 @@ cg_result cg_loop(index_t n, const Apply& apply, const darray& b, darray& x,
     rr = rr_new;
     ++out.iterations;
   }
+  drain_active_queue();
   out.relative_residual = std::sqrt(rr / bb);
   out.converged = rr <= stop;
   return out;
@@ -155,6 +170,7 @@ cg_result cg_loop_pipelined(index_t n, const Apply& apply, const darray& b,
     jacc::parallel_for(
         jacc::hints{.name = "cg.zero", .bytes_per_index = 8.0}, n,
         [](index_t i, darray& x_) { x_[i] = 0.0; }, x);
+    drain_active_queue(); // x = 0 went to an enclosing scope's queue
     return {0, 0.0, true};
   }
   double rr = f_rr.get();
@@ -240,6 +256,7 @@ cg_result cg_loop_graphed(index_t n, const Apply& apply, const darray& b,
     jacc::parallel_for(
         jacc::hints{.name = "cg.zero", .bytes_per_index = 8.0}, n,
         [](index_t i, darray& x_) { x_[i] = 0.0; }, x);
+    drain_active_queue();
     return {0, 0.0, true};
   }
   double rr = jacc::parallel_reduce(dot_h, n, blas::dot, r, r);

@@ -10,10 +10,19 @@
 // through unchanged (the paper's listing skips them; the pass-through keeps
 // f2 well-defined so the buffers can swap).
 //
-// The body is a template over the array type so the exact same physics runs
-// through jacc::array (the JACC series of Fig. 11), sim::device_span (the
-// native GPU/CPU series), and plain pointers (the serial reference used in
-// validation tests).
+// Two forms of the site update live here, with bit-identical results:
+//
+//   site_update        the paper's listing: pulled values staged in a
+//                      scratch lattice f.  It serves the reproduction — the
+//                      JACC series of Fig. 11 (lbm_kernel), the native
+//                      GPU/CPU series, and the serial reference_step used in
+//                      validation tests.
+//   site_update_fused  the pulled values kept in registers, no scratch
+//                      lattice.  It serves the solver: lbm::simulation runs
+//                      it over two lattices with the constexpr tables below.
+//
+// Both are templates over the array type, so the same physics runs through
+// jacc::array, sim::device_span and plain pointers.
 #pragma once
 
 #include <array>
@@ -101,9 +110,9 @@ inline void site_update(index_t x, index_t y, const FA& f, const F1A& f1,
 /// pulled distributions in a scratch lattice `f` and re-reads them twice
 /// (moments, collision), costing ~18 extra global accesses per site.  This
 /// version keeps the 9 pulled values in registers instead — same
-/// mathematics, bit-identical results, less memory traffic.  The
-/// abl_lbm_fusion benchmark quantifies what the paper's formulation leaves
-/// on the table.
+/// mathematics, bit-identical results, less memory traffic.  lbm::simulation
+/// runs this form; the abl_lbm_fusion benchmark quantifies what the paper's
+/// formulation leaves on the table.
 template <class F1A, class F2A, class CA>
 inline void site_update_fused(index_t x, index_t y, const F1A& f1,
                               const F2A& f2, double tau, const CA& w,

@@ -3,18 +3,12 @@
 #include <cmath>
 
 namespace jaccx::lbm {
-namespace {
 
-std::vector<double> lattice_constants(const std::array<double, q>& a) {
-  return std::vector<double>(a.begin(), a.end());
-}
-
-} // namespace
-
+// f2_ is never read before step() has written all of it, so it skips the
+// zero fill (under JACC_MEM_POOL=bucket it may be a recycled block).
 simulation::simulation(const params& p)
-    : cfg_(p), f_(p.size * p.size * q), f1_(p.size * p.size * q),
-      f2_(p.size * p.size * q), w_(lattice_constants(weights)),
-      cx_(lattice_constants(vel_x)), cy_(lattice_constants(vel_y)) {
+    : cfg_(p), f1_(p.size * p.size * q),
+      f2_(jacc::uninit, p.size * p.size * q) {
   JACCX_ASSERT(p.size >= 3);
   JACCX_ASSERT(p.tau > 0.5);
   init_uniform();
@@ -23,12 +17,10 @@ simulation::simulation(const params& p)
 void simulation::init_uniform(double rho0) {
   const index_t plane = cfg_.size * cfg_.size;
   double* f1 = f1_.host_data();
-  double* f2 = f2_.host_data();
   for (int k = 0; k < q; ++k) {
     const double fk = weights[static_cast<std::size_t>(k)] * rho0;
     for (index_t s = 0; s < plane; ++s) {
       f1[k * plane + s] = fk;
-      f2[k * plane + s] = fk;
     }
   }
   steps_ = 0;
@@ -42,7 +34,6 @@ void simulation::init_pulse(double rho0, double amplitude,
   const double cy0 = static_cast<double>(size - 1) / 2.0;
   const double r = radius_fraction * static_cast<double>(size);
   double* f1 = f1_.host_data();
-  double* f2 = f2_.host_data();
   for (index_t x = 0; x < size; ++x) {
     for (index_t y = 0; y < size; ++y) {
       const double dx = static_cast<double>(x) - cx0;
@@ -52,7 +43,6 @@ void simulation::init_pulse(double rho0, double amplitude,
       for (int k = 0; k < q; ++k) {
         const double fk = equilibrium(k, rho, 0.0, 0.0);
         f1[k * plane + x * size + y] = fk;
-        f2[k * plane + x * size + y] = fk;
       }
     }
   }
@@ -63,8 +53,15 @@ void simulation::step() {
   jacc::parallel_for(
       jacc::hints{.name = "jacc.lbm", .flops_per_index = site_flops,
                   .bytes_per_index = 144.0},
-      jacc::dims2{cfg_.size, cfg_.size}, lbm_kernel, f_, f1_, f2_, cfg_.tau,
-      w_, cx_, cy_, cfg_.size);
+      jacc::dims2{cfg_.size, cfg_.size},
+      // lbm_kernel's (i, j) -> (y, x) mapping; a site reads 9 values of f1
+      // and writes 9 of f2, with no scratch lattice or constant-array loads.
+      [](index_t i, index_t j, const jacc::array<double>& f1,
+         jacc::array<double>& f2, double tau, index_t size) {
+        site_update_fused(/*x=*/j, /*y=*/i, f1, f2, tau, weights, vel_x,
+                          vel_y, size);
+      },
+      f1_, f2_, cfg_.tau, cfg_.size);
   std::swap(f1_, f2_);
   ++steps_;
 }

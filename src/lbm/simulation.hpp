@@ -1,6 +1,11 @@
-// Portable LBM mini-app over the JACC front end: the "JACC" series of the
-// paper's Fig. 11, wrapped with initialization and diagnostics so it is a
-// usable fluid solver, not just a kernel.
+// Portable LBM mini-app over the JACC front end, wrapped with initialization
+// and diagnostics so it is a usable fluid solver, not just a kernel.
+//
+// lbm_kernel below is the paper's Fig. 10 verbatim (scratch lattice plus
+// tracked constant arrays); bench/fig11_lbm times it as the "JACC" series of
+// Fig. 11.  The solver runs the bit-identical register-fused update
+// (site_update_fused) over two lattices, with the lattice constants folded
+// in at compile time.
 #pragma once
 
 #include <vector>
@@ -17,7 +22,8 @@ struct params {
 
 /// The paper's Fig. 10 kernel, verbatim in structure: a free function taking
 /// (i, j) plus every array it touches, run through one multidimensional
-/// parallel_for per time step.
+/// parallel_for per time step.  Kept for the Fig. 11 reproduction; the
+/// solver below runs site_update_fused.
 ///
 /// Index mapping: the first parallel_for index (i) is the fast one — GPU
 /// thread x, CPU inner loop — and the lattice layout stores y contiguously
@@ -44,6 +50,7 @@ class simulation {
 public:
   /// Builds the lattice under the *current* JACC backend: all state lives in
   /// jacc::array, so on a simulated GPU the initial state is charged as H2D.
+  /// Two lattices of q*size*size doubles are resident, nothing else.
   explicit simulation(const params& p);
 
   /// Uniform equilibrium at density rho0, zero velocity (an exact fixed
@@ -55,8 +62,10 @@ public:
   void init_pulse(double rho0 = 1.0, double amplitude = 0.1,
                   double radius_fraction = 0.1);
 
-  /// Advances one time step: one 2D parallel_for (paper Fig. 10) plus a
-  /// buffer swap.
+  /// Advances one time step: one 2D parallel_for of site_update_fused from
+  /// the current lattice into the other, then a buffer swap.  Every site of
+  /// the target is written (interior by collision, boundary by
+  /// pass-through), so the second lattice never needs initializing.
   void step();
 
   /// Advances `steps` time steps.
@@ -79,10 +88,8 @@ public:
 private:
   params cfg_;
   int steps_ = 0;
-  jacc::array<double> f_;  // scratch (post-streaming)
   jacc::array<double> f1_; // current
-  jacc::array<double> f2_; // next
-  jacc::array<double> w_, cx_, cy_;
+  jacc::array<double> f2_; // next (fully written by every step)
 };
 
 } // namespace jaccx::lbm

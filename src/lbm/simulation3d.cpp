@@ -3,19 +3,11 @@
 #include <cmath>
 
 namespace jaccx::lbm3 {
-namespace {
 
-std::vector<double> lattice_constants(const std::array<double, q>& a) {
-  return std::vector<double>(a.begin(), a.end());
-}
-
-} // namespace
-
+// f2_ is never read before step() has written all of it (see simulation).
 simulation3d::simulation3d(const params& p)
-    : cfg_(p), f_(p.size * p.size * p.size * q),
-      f1_(p.size * p.size * p.size * q), f2_(p.size * p.size * p.size * q),
-      w_(lattice_constants(weights)), cx_(lattice_constants(vel_x)),
-      cy_(lattice_constants(vel_y)), cz_(lattice_constants(vel_z)) {
+    : cfg_(p), f1_(p.size * p.size * p.size * q),
+      f2_(jacc::uninit, p.size * p.size * p.size * q) {
   JACCX_ASSERT(p.size >= 3);
   JACCX_ASSERT(p.tau > 0.5);
   init_uniform();
@@ -24,12 +16,10 @@ simulation3d::simulation3d(const params& p)
 void simulation3d::init_uniform(double rho0) {
   const index_t cube = cfg_.size * cfg_.size * cfg_.size;
   double* f1 = f1_.host_data();
-  double* f2 = f2_.host_data();
   for (int k = 0; k < q; ++k) {
     const double fk = weights[static_cast<std::size_t>(k)] * rho0;
     for (index_t s = 0; s < cube; ++s) {
       f1[k * cube + s] = fk;
-      f2[k * cube + s] = fk;
     }
   }
   steps_ = 0;
@@ -42,7 +32,6 @@ void simulation3d::init_pulse(double rho0, double amplitude,
   const double c0 = static_cast<double>(size - 1) / 2.0;
   const double r = radius_fraction * static_cast<double>(size);
   double* f1 = f1_.host_data();
-  double* f2 = f2_.host_data();
   for (index_t x = 0; x < size; ++x) {
     for (index_t y = 0; y < size; ++y) {
       for (index_t z = 0; z < size; ++z) {
@@ -56,7 +45,6 @@ void simulation3d::init_pulse(double rho0, double amplitude,
         for (int k = 0; k < q; ++k) {
           const double fk = equilibrium(k, rho, 0.0, 0.0, 0.0);
           f1[k * cube + s] = fk;
-          f2[k * cube + s] = fk;
         }
       }
     }
@@ -68,8 +56,14 @@ void simulation3d::step() {
   jacc::parallel_for(
       jacc::hints{.name = "jacc.lbm3", .flops_per_index = site_flops,
                   .bytes_per_index = 304.0},
-      jacc::dims3{cfg_.size, cfg_.size, cfg_.size}, lbm3_kernel, f_, f1_,
-      f2_, cfg_.tau, w_, cx_, cy_, cz_, cfg_.size);
+      jacc::dims3{cfg_.size, cfg_.size, cfg_.size},
+      // lbm3_kernel's index mapping; a site reads 19 values and writes 19.
+      [](index_t i, index_t j, index_t k, const jacc::array<double>& f1,
+         jacc::array<double>& f2, double tau, index_t size) {
+        site_update_fused(/*x=*/k, /*y=*/j, /*z=*/i, f1, f2, tau, weights,
+                          vel_x, vel_y, vel_z, size);
+      },
+      f1_, f2_, cfg_.tau, cfg_.size);
   std::swap(f1_, f2_);
   ++steps_;
 }

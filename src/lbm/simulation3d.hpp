@@ -1,4 +1,5 @@
-// Portable D3Q19 LBM mini-app: one jacc::parallel_for over dims3 per step.
+// Portable D3Q19 LBM mini-app: one jacc::parallel_for over dims3 per step,
+// two resident lattices, the register-fused site update.
 #pragma once
 
 #include <vector>
@@ -13,8 +14,10 @@ struct params {
   double tau = 0.8;
 };
 
-/// The D3Q19 kernel in the paper's style.  The first (fast) index i maps to
-/// the contiguous z coordinate, j to y, k to x — coalescing per Sec. IV.
+/// The D3Q19 kernel in the paper's Fig. 10 style (scratch lattice, constant
+/// arrays).  The first (fast) index i maps to the contiguous z coordinate,
+/// j to y, k to x — coalescing per Sec. IV.  The solver runs
+/// site_update_fused, which gives bit-identical results.
 inline void lbm3_kernel(index_t i, index_t j, index_t k,
                         jacc::array<double>& f,
                         const jacc::array<double>& f1,
@@ -38,6 +41,9 @@ public:
   void init_pulse(double rho0 = 1.0, double amplitude = 0.1,
                   double radius_fraction = 0.1);
 
+  /// One site_update_fused launch from the current lattice into the other,
+  /// then a swap.  Every site of the target is written, so the second
+  /// lattice is never initialized.
   void step();
   void run(int steps);
 
@@ -55,8 +61,8 @@ public:
 private:
   params cfg_;
   int steps_ = 0;
-  jacc::array<double> f_, f1_, f2_;
-  jacc::array<double> w_, cx_, cy_, cz_;
+  jacc::array<double> f1_; // current
+  jacc::array<double> f2_; // next (fully written by every step)
 };
 
 } // namespace jaccx::lbm3

@@ -9,6 +9,7 @@
 
 #include "cg/native.hpp"
 #include "cg/solver.hpp"
+#include "core/queue_impl.hpp"
 
 namespace jaccx::cg {
 namespace {
@@ -218,6 +219,71 @@ TEST(CgPipelined, ZeroRhsShortCircuits) {
   EXPECT_TRUE(res.converged);
   for (index_t i = 0; i < 64; ++i) {
     EXPECT_DOUBLE_EQ(x.host_data()[i], 0.0);
+  }
+}
+
+// --- solves run inside a queue_scope ------------------------------------------
+// On the threads back end with async lanes (JACC_QUEUES >= 2) the solvers'
+// plain launches go onto the scope's queue.  A solver must not return while
+// any of them is still pending: the caller reads x at once, and the
+// iteration scratch the last launches touch is released on return.
+
+/// Lane tasks of `q` submitted but not yet finished.
+std::uint64_t pending_tasks(const jacc::queue& q) {
+  auto* impl = jacc::detail::queue_access::impl(q);
+  const std::lock_guard lock(impl->mu);
+  return impl->pending;
+}
+
+TEST(CgQueued, SolveInsideQueueScopeLeavesNothingPending) {
+  jacc::scoped_backend sb(backend::threads);
+  const index_t n = 300;
+  tridiag_system A(n);
+  std::vector<double> x_true(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    x_true[static_cast<std::size_t>(i)] =
+        std::cos(0.3 * static_cast<double>(i));
+  }
+  const darray xt(x_true);
+  darray b(n);
+  A.apply(xt, b);
+
+  darray x(n);
+  jacc::queue q("cg.scoped");
+  cg_result res;
+  {
+    const jacc::queue_scope in(q);
+    res = cg_solve(A, b, x);
+    EXPECT_EQ(pending_tasks(q), 0u);
+  }
+  EXPECT_TRUE(res.converged);
+  // No synchronize: x must already hold the solution.
+  for (index_t i = 0; i < n; ++i) {
+    ASSERT_NEAR(x.host_data()[i], x_true[static_cast<std::size_t>(i)], 1e-8)
+        << i;
+  }
+}
+
+TEST(CgQueued, ZeroRhsInsideQueueScopeZeroesXBeforeReturn) {
+  // The b = 0 exit of every variant enqueues x = 0 as its last launch.
+  jacc::scoped_backend sb(backend::threads);
+  const index_t n = 64;
+  tridiag_system A(n);
+  const darray b(n);
+  using solver = cg_result (*)(const tridiag_system&, const darray&, darray&,
+                               const cg_options&);
+  for (solver solve : {solver{&cg_solve}, solver{&cg_solve_pipelined},
+                       solver{&cg_solve_graphed}}) {
+    darray x(std::vector<double>(static_cast<std::size_t>(n), 2.0));
+    jacc::queue q("cg.scoped");
+    {
+      const jacc::queue_scope in(q);
+      EXPECT_TRUE(solve(A, b, x, {}).converged);
+      EXPECT_EQ(pending_tasks(q), 0u);
+    }
+    for (index_t i = 0; i < n; ++i) {
+      ASSERT_EQ(x.host_data()[i], 0.0) << i;
+    }
   }
 }
 

@@ -2,7 +2,10 @@
 // agreement, and agreement between the JACC and native implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "lbm/native.hpp"
@@ -147,6 +150,62 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, LbmAllBackends,
                          [](const auto& info) {
                            return std::string(jacc::to_string(info.param));
                          });
+
+// --- solver footprint ----------------------------------------------------------
+
+TEST(LbmFootprint, SimulationHoldsExactlyTwoLattices) {
+  // Seed-exact allocation mode, so live_bytes() counts requested bytes
+  // rather than pool buckets: two q-plane lattices and nothing else.
+  const jaccx::mem::scoped_mode exact(jaccx::mem::pool_mode::none);
+  jacc::scoped_backend sb(backend::threads);
+  const index_t size = 40;
+  const std::uint64_t before = jaccx::mem::live_bytes();
+  const simulation sim(params{.size = size, .tau = 0.8});
+  EXPECT_EQ(jaccx::mem::live_bytes() - before,
+            std::uint64_t{2} * q * size * size * sizeof(double));
+}
+
+TEST(LbmFootprint, UninitializedTargetIsFullyWrittenEachStep) {
+  // The target lattice starts uninitialized, so step() must write every
+  // site of it.  Release two NaN-filled blocks of the lattice size into the
+  // pool first: both lattices are then built on NaN, and a site step()
+  // skipped would leave a NaN that the bitwise reference check catches.
+  const jaccx::mem::scoped_mode pooled(jaccx::mem::pool_mode::bucket);
+  jacc::scoped_backend sb(backend::threads);
+  const index_t size = 20;
+  const index_t total = q * size * size;
+  std::vector<const double*> poisoned;
+  {
+    jacc::array<double> a(jacc::uninit, total);
+    jacc::array<double> b(jacc::uninit, total);
+    for (jacc::array<double>* arr : {&a, &b}) {
+      double* h = arr->host_data();
+      std::fill(h, h + total, std::numeric_limits<double>::quiet_NaN());
+      poisoned.push_back(h);
+    }
+  }
+
+  simulation sim(params{.size = size, .tau = 0.8});
+  sim.init_pulse(1.0, 0.05, 0.15);
+  const double* initial = sim.distributions().host_data();
+  std::vector<double> f(static_cast<std::size_t>(total), 0.0);
+  std::vector<double> f1(initial, initial + total);
+  std::vector<double> f2(f1.size(), 0.0);
+  const int steps = 5; // odd: the result lands in the uninitialized lattice
+  for (int s = 0; s < steps; ++s) {
+    reference_step(f.data(), f1.data(), f2.data(), 0.8, size);
+    std::swap(f1, f2);
+  }
+  sim.run(steps);
+
+  const double* got = sim.distributions().host_data();
+  ASSERT_NE(got, initial);
+  ASSERT_NE(std::find(poisoned.begin(), poisoned.end(), got), poisoned.end())
+      << "the pool did not hand a NaN block to the target lattice";
+  for (index_t i = 0; i < total; ++i) {
+    ASSERT_EQ(got[i], f1[static_cast<std::size_t>(i)]) << "i=" << i;
+  }
+}
 
 template <class Api>
 struct NativeLbmTest : public ::testing::Test {};
