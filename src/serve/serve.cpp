@@ -106,6 +106,7 @@ struct scheduler_state {
   int slots = 1;
   int workers = 1;
   bool sim = false;
+  bool lane_capped = false; ///< `threads` back end: running jobs <= lanes
   sched_clock::time_point start_tp;
 
   std::mutex mu;
@@ -202,6 +203,18 @@ bool dispatchable_locked(const scheduler_state& s) {
          (s.running == 0 && !s.deferred.empty());
 }
 
+/// Jobs allowed to run at once.  On `threads` the lane count is read now,
+/// not at construction: a mid-serving initialize() can shrink it to one
+/// lane, where queue work runs synchronously on the shared default pool,
+/// which serves one region at a time.
+std::size_t run_cap(const scheduler_state& s) {
+  int cap = s.workers;
+  if (s.lane_capped) {
+    cap = std::min(cap, std::max(1, jacc::queue_lane_count()));
+  }
+  return static_cast<std::size_t>(cap);
+}
+
 /// Strict priority, then smallest virtual time, then tenant order.
 std::shared_ptr<job_state> pick_locked(scheduler_state& s) {
   tenant_state* best = nullptr;
@@ -243,7 +256,16 @@ void worker_loop(scheduler_state& s, int worker_index) {
     int slot = worker_index;
     {
       std::unique_lock lock(s.mu);
-      s.cv.wait(lock, [&] { return s.stop || dispatchable_locked(s); });
+      std::size_t cap = 0;
+      s.cv.wait(lock, [&] {
+        cap = run_cap(s);
+        return s.stop || (s.running < cap && dispatchable_locked(s));
+      });
+      if (s.running >= cap) {
+        // Stopping while over the cap: the running workers dispatch
+        // whatever is still ready.
+        return;
+      }
       if (!any_ready_locked(s)) {
         if (s.running == 0 && !s.deferred.empty()) {
           force_admit_locked(s);
@@ -448,7 +470,11 @@ scheduler::scheduler(options opt) : s_(std::make_shared<detail::scheduler_state>
   } else if (b == jacc::backend::threads) {
     // Real concurrency only exists across dispatcher lanes; with one lane
     // queued work degrades to synchronous calls on the shared default
-    // pool, which admits one runner at a time.
+    // pool, which admits one runner at a time.  The thread count is fixed
+    // here, but worker_loop re-reads the lane count at every dispatch, so
+    // a later initialize() that drops to one lane also drops to one
+    // running job.
+    s.lane_capped = true;
     s.workers = std::max(1, std::min(s.slots, lanes));
   } else {
     s.workers = s.slots;

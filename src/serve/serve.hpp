@@ -34,7 +34,10 @@
 //     width, docs/ASYNC.md) bounds oversubscription.  Worker concurrency
 //     is clamped to the lane count: with one lane queue ops degrade to
 //     synchronous calls on the shared default pool, which admits only one
-//     runner at a time.
+//     runner at a time.  The worker-thread count is fixed at construction;
+//     the number of jobs running at once follows the lane count current at
+//     dispatch, so a mid-serving jacc::initialize() that drops to one lane
+//     also drops to one running job.
 //   * simulated back ends: devices execute functionally at enqueue and are
 //     not thread-safe, so one runner thread executes jobs in submission
 //     order, but each job is bound to its *tenant's* slot queue
@@ -178,8 +181,9 @@ public:
   prof::serve_stats stats() const;
 
   int slots() const;
-  /// Worker threads actually running jobs (see the execution model above:
-  /// 1 on simulated back ends, min(slots, lanes) on threads).
+  /// Worker threads started at construction (see the execution model
+  /// above: 1 on simulated back ends, min(slots, lanes) on threads).  On
+  /// threads, fewer may run jobs at once after a re-init shrank the lanes.
   int workers() const;
 
 private:

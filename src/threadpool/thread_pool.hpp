@@ -94,7 +94,9 @@ public:
   /// worker receives at most one chunk; under dynamic scheduling a worker
   /// may receive several.  Blocks until all chunks complete.  `fn` must not
   /// throw; kernels with failure modes should record status out-of-band
-  /// (E.28 is out of scope for hot loops).
+  /// (E.28 is out of scope for hot loops).  A pool runs one region at a
+  /// time: the region descriptor and barrier state are shared, so
+  /// concurrent external callers must serialize their calls.
   using region_fn = void (*)(void* ctx, unsigned worker, range chunk);
   void run_region(index_t n, region_fn fn, void* ctx);
 
