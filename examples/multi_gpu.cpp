@@ -1,7 +1,6 @@
 // Multi-device demo (paper Sec. VII future work): the same AXPY/DOT and a
 // halo-exchanged 3-point smoother run across 1..8 simulated GPUs — through
-// the auto-sharding layer (docs/SHARDING.md).  Unlike the deprecated
-// jaccx::multi front end this used to showcase, the kernels here are the
+// the auto-sharding layer (docs/SHARDING.md).  The kernels here are the
 // ordinary single-device ones: global indices, plain jacc::array
 // arguments.  Opening a device_set_scope is the only multi-device code;
 // the runtime decomposes each launch, exchanges the smoother's halos

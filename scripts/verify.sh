@@ -45,8 +45,8 @@ if [[ $RUN_FULL -eq 1 ]]; then
   # Auto-sharding (docs/SHARDING.md): the whole suite must pass with
   # sharding explicitly forced on — the default resolution, so this proves
   # no test quietly depends on JACC_SHARD being unset.  The shard suite
-  # itself pins bit-exactness against the deprecated hand-sharded front
-  # end and covers the off mode via the test hook.
+  # itself pins bit-exactness against values frozen from the retired
+  # hand-sharded front end and covers the off mode via the test hook.
   JACC_SHARD=auto ctest --test-dir build --output-on-failure -j"$JOBS"
 
   # Serving scheduler (docs/SERVING.md): the suite must pass with explicit
@@ -170,6 +170,13 @@ JACC_NUM_THREADS=4 JACC_QUEUES=2 ./build-tsan/tests/tests_core \
   --gtest_filter="$QUEUE_TSAN_FILTER"
 JACC_NUM_THREADS=4 JACC_QUEUES=2 JACC_MEM_POOL=none \
   ./build-tsan/tests/tests_core --gtest_filter="$QUEUE_TSAN_FILTER"
+
+# One lane: queue work runs inline, so two host threads drive the default
+# pool at once.  thread_pool::run_region's busy flag hands the second
+# caller its whole range inline instead of letting it share the first
+# caller's barrier (these two tests hung there before the flag).
+JACC_NUM_THREADS=4 JACC_QUEUES=1 ./build-tsan/tests/tests_core \
+  --gtest_filter='QueueTest.TwoQueuesStressFromTwoHostThreads:GraphTest.ReplayConcurrentWithCaptureOnAnotherQueue'
 
 # Graph capture/replay under the same two forced lanes: the capture installs
 # (atomic hot-path check), replay chains across lanes, graph-outlives-queue,

@@ -50,8 +50,8 @@ inline constexpr uninit_t uninit{};
 
 /// Placement tag selecting sharded construction: the array's storage is
 /// split contiguously across a device_set's devices along its slowest
-/// dimension (docs/SHARDING.md).  `jacc::array<double> a(jacc::sharded(ds),
-/// n)` replaces the deprecated `jaccx::multi::marray`.
+/// dimension (docs/SHARDING.md): `jacc::array<double> a(jacc::sharded(ds),
+/// n)`.
 struct sharded_t {
   device_set* set = nullptr;
 };
@@ -299,17 +299,14 @@ public:
     shard_->bound = -1;
   }
 
-  /// Exchanges `radius` slow-units of boundary cells between neighbouring
-  /// pieces on the set's per-shard streams — data movement now, the four
-  /// transfer charges per boundary on the two adjacent streams, exactly
-  /// like the deprecated marray::exchange_halos_async.
-  /// Moves this array's boundary cells into the neighbouring pieces' ghosts
-  /// (both directions) and accumulates the per-boundary one-direction
-  /// payload into `boundary_bytes[d]` (size devices()-1).  No time is
-  /// charged here: the launch engine coalesces every array's ghost traffic
-  /// for one launch into a single packed message per neighbour pair and
-  /// charges that once per side (see shard.hpp / docs/MODEL.md), the way a
-  /// tuned stencil code packs all its fields into one exchange.
+  /// Moves `radius` slow-units of this array's boundary cells into the
+  /// neighbouring pieces' ghosts (both directions) and accumulates the
+  /// per-boundary one-direction payload into `boundary_bytes[d]` (size
+  /// devices()-1).  No time is charged here: the launch engine coalesces
+  /// every array's ghost traffic for one launch into a single packed
+  /// message per neighbour pair and charges that once per side (see
+  /// shard.hpp / docs/MODEL.md), the way a tuned stencil code packs all its
+  /// fields into one exchange.
   void shard_halo_async(index_t radius, std::uint64_t* boundary_bytes) {
     JACCX_ASSERT(shard_ != nullptr && radius >= 0 && radius <= shard_->ghost);
     auto& st = *shard_;

@@ -10,9 +10,8 @@
 // parallel_reduce inside it execute sharded across the set — kernels keep
 // their GLOBAL indices; the runtime applies the decomposition.
 //
-// Timing semantics match jaccx::multi::context exactly (each device has its
-// own clock, sync() is the aligning barrier), because multi's context is now
-// a deprecated shim over this class.
+// Timing semantics: each device has its own clock, and sync() is the
+// aligning barrier.
 #pragma once
 
 #include <map>

@@ -225,11 +225,6 @@ void eval(std::string_view name, index_t n, const St&... stmts) {
                 .flops_per_index = (0.0 + ... + stmts.flops()),
                 .bytes_per_index = detail::fused_hint_bytes(fps),
                 .elementwise = true};
-  // Parameters are exactly St... (not auto...): overload resolution over
-  // the dims2/dims3 parallel_for signatures probes invocability, and a
-  // generic lambda would have to instantiate its body (deduced return
-  // type) to answer — a hard error on the probe's index arguments.  With
-  // fixed parameter types the arity mismatch fails cleanly instead.
   parallel_for(h, n,
                [](index_t i, const St&... ss) { (ss.run(i), ...); },
                stmts...);

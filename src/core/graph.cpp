@@ -225,7 +225,7 @@ void fuse_chains(graph_impl& g) {
           h.flops_per_index = fc->flops;
           h.bytes_per_index = fc->bytes;
           h.elementwise = true;
-          execute_for_1d(b, pl, launch_desc::d1(h, fc->n), [&](index_t i) {
+          execute_for<1>(b, pl, launch_desc::of(h, fc->n), [&](index_t i) {
             for (const auto& p : fc->parts) {
               p(i);
             }

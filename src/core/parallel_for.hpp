@@ -16,8 +16,10 @@
 // exactly the synchronous calls.
 //
 // Internally every public overload lowers to one detail::launch_desc and
-// one per-rank execution body, so the 1D/2D/3D x hinted/unhinted x
-// sync/queued surface shares a single dispatch switch per rank.
+// one rank-generic execution body, execute_for<Rank>, whose single backend
+// switch serves 1D, 2D and 3D alike; the shape argument's type picks Rank.
+// Only what truly differs by rank is spelled per rank: the GPU block shape,
+// the threads decomposition and the cpu_rome range call.
 //
 // Back-end mapping (paper Sec. IV):
 //   serial/threads      coarse chunks; 2D/3D decompose over the slowest
@@ -131,50 +133,72 @@ make_fusable_payload(const launch_desc& d, const F& fn,
   }
 }
 
-inline jaccx::sim::launch_config gpu_config_1d(const jaccx::sim::device& dev,
-                                               index_t n, const hints& h) {
+/// Calls f with the first Rank of (i, j, k), then the kernel arguments.
+template <int Rank, class F, class... Args>
+decltype(auto) call_at(F& f, index_t i, index_t j, index_t k,
+                       Args&... args) {
+  if constexpr (Rank == 1) {
+    return f(i, args...);
+  } else if constexpr (Rank == 2) {
+    return f(i, j, args...);
+  } else {
+    return f(i, j, k, args...);
+  }
+}
+
+/// Serial visit of the launch range in column-major order (i fastest);
+/// unused dimensions have a compile-time trip count of 1.
+template <int Rank, class Visit>
+void serial_visit(const launch_desc& d, const Visit& visit) {
+  for (index_t k = 0; k < (Rank == 3 ? d.depth : 1); ++k) {
+    for (index_t j = 0; j < (Rank >= 2 ? d.cols : 1); ++j) {
+      for (index_t i = 0; i < d.rows; ++i) {
+        visit(i, j, k);
+      }
+    }
+  }
+}
+
+/// GPU launch shape (paper Fig. 6): one thread per index, thread x on the
+/// fastest index; blocks of up to max_threads_per_block in 1D, 16x16 in
+/// 2D and 8x8x4 in 3D, each side clipped to its extent (at least 1).
+template <int Rank>
+jaccx::sim::launch_config gpu_config(const jaccx::sim::device& dev,
+                                     const launch_desc& d) {
+  const std::int64_t tiles[3][3] = {
+      {dev.model().max_threads_per_block, 1, 1}, {16, 16, 1}, {8, 8, 4}};
+  const std::int64_t* tile = tiles[Rank - 1];
+  const index_t ext[3] = {d.rows > 0 ? d.rows : 1, d.cols > 0 ? d.cols : 1,
+                          d.depth > 0 ? d.depth : 1};
+  std::int64_t blk[3];
+  for (int a = 0; a < 3; ++a) {
+    blk[a] = ext[a] < tile[a] ? ext[a] : tile[a];
+  }
   jaccx::sim::launch_config cfg;
-  const std::int64_t maxt = dev.model().max_threads_per_block;
-  const std::int64_t threads = n < maxt ? (n > 0 ? n : 1) : maxt;
-  cfg.block = jaccx::sim::dim3{threads};
-  cfg.grid = jaccx::sim::dim3{jaccx::sim::ceil_div(n > 0 ? n : 1, threads)};
-  cfg.name = h.name;
+  cfg.block = jaccx::sim::dim3{blk[0], blk[1], blk[2]};
+  cfg.grid = jaccx::sim::dim3{jaccx::sim::ceil_div(ext[0], blk[0]),
+                              jaccx::sim::ceil_div(ext[1], blk[1]),
+                              jaccx::sim::ceil_div(ext[2], blk[2])};
+  cfg.name = d.h.name;
   cfg.flavor.via_jacc = true;
-  cfg.flops_per_index = h.flops_per_index;
+  cfg.flops_per_index = d.h.flops_per_index;
   return cfg;
 }
 
-inline jaccx::sim::launch_config gpu_config_2d(index_t rows, index_t cols,
-                                               const hints& h) {
-  // Paper Fig. 6: numThreads = 16 per dimension.
-  jaccx::sim::launch_config cfg;
-  const std::int64_t tile = 16;
-  const std::int64_t mt = rows < tile ? (rows > 0 ? rows : 1) : tile;
-  const std::int64_t nt = cols < tile ? (cols > 0 ? cols : 1) : tile;
-  cfg.block = jaccx::sim::dim3{mt, nt};
-  cfg.grid = jaccx::sim::dim3{jaccx::sim::ceil_div(rows > 0 ? rows : 1, mt),
-                              jaccx::sim::ceil_div(cols > 0 ? cols : 1, nt)};
-  cfg.name = h.name;
-  cfg.flavor.via_jacc = true;
-  cfg.flops_per_index = h.flops_per_index;
-  return cfg;
-}
-
-inline jaccx::sim::launch_config gpu_config_3d(const dims3& d,
-                                               const hints& h) {
-  jaccx::sim::launch_config cfg;
-  const std::int64_t tx = d.rows < 8 ? (d.rows > 0 ? d.rows : 1) : 8;
-  const std::int64_t ty = d.cols < 8 ? (d.cols > 0 ? d.cols : 1) : 8;
-  const std::int64_t tz = d.depth < 4 ? (d.depth > 0 ? d.depth : 1) : 4;
-  cfg.block = jaccx::sim::dim3{tx, ty, tz};
-  cfg.grid =
-      jaccx::sim::dim3{jaccx::sim::ceil_div(d.rows > 0 ? d.rows : 1, tx),
-                       jaccx::sim::ceil_div(d.cols > 0 ? d.cols : 1, ty),
-                       jaccx::sim::ceil_div(d.depth > 0 ? d.depth : 1, tz)};
-  cfg.name = h.name;
-  cfg.flavor.via_jacc = true;
-  cfg.flops_per_index = h.flops_per_index;
-  return cfg;
+/// One simulated-GPU launch over `d`.  `slow0` offsets the slowest index
+/// (a shard's first owned plane), so kernels always see global indices.
+template <int Rank, class F, class... Args>
+void sim_gpu_for(jaccx::sim::device& dev, const launch_desc& d, index_t slow0,
+                 F& f, Args&... args) {
+  jaccx::sim::launch(dev, gpu_config<Rank>(dev, d),
+                     [&](jaccx::sim::kernel_ctx& ctx) {
+    index_t ix[3] = {ctx.global_x(), Rank >= 2 ? ctx.global_y() : 0,
+                     Rank == 3 ? ctx.global_z() : 0};
+    if (ix[0] < d.rows && ix[1] < d.cols && ix[2] < d.depth) {
+      ix[Rank - 1] += slow0;
+      call_at<Rank>(f, ix[0], ix[1], ix[2], args...);
+    }
+  });
 }
 
 inline jaccx::sim::cpu_region_config cpu_config(const hints& h) {
@@ -245,165 +269,88 @@ void threads_for_3d(jaccx::pool::thread_pool& pool, dims3 d, F&& f,
   });
 }
 
-// --- per-rank execution bodies: one dispatch switch each --------------------
-// `pl` overrides the worker pool on the threads backend (queue lanes hand
-// their private pool in); null means the default pool, the sync path.
-
-template <class F, class... Args>
-void execute_for_1d(backend b, jaccx::pool::thread_pool* pl,
-                    const launch_desc& d, F&& f, Args&&... args) {
-  const index_t n = d.rows;
+/// The one parallel_for execution body: a single backend switch for every
+/// rank.  `pl` overrides the worker pool on the threads backend (queue
+/// lanes hand their private pool in); null means the default pool.
+template <int Rank, class F, class... Args>
+void execute_for(backend b, jaccx::pool::thread_pool* pl,
+                 const launch_desc& d, F&& f, Args&&... args) {
   const jaccx::prof::kernel_scope prof_scope(
       jaccx::prof::construct::parallel_for, d.h.name,
-      static_cast<std::uint64_t>(n), d.h.flops_per_index,
+      static_cast<std::uint64_t>(d.count()), d.h.flops_per_index,
       d.h.bytes_per_index, to_string(b));
   switch (b) {
-  case backend::serial: {
-    for (index_t i = 0; i < n; ++i) {
-      f(i, args...);
-    }
+  case backend::serial:
+    serial_visit<Rank>(d, [&](index_t i, index_t j, index_t k) {
+      call_at<Rank>(f, i, j, k, args...);
+    });
     return;
-  }
   case backend::threads: {
     auto& pool = pl != nullptr ? *pl : jaccx::pool::default_pool();
-    pool.parallel_for_index(n, [&](index_t i) { f(i, args...); });
+    if constexpr (Rank == 1) {
+      pool.parallel_for_index(d.rows, [&](index_t i) { f(i, args...); });
+    } else if constexpr (Rank == 2) {
+      threads_for_2d(pool, d.as_2d(), f, args...);
+    } else {
+      threads_for_3d(pool, d.as_3d(), f, args...);
+    }
     return;
   }
   case backend::cpu_rome: {
     auto& dev = *backend_device(b);
-    jaccx::sim::cpu_parallel_range(dev, cpu_config(d.h), n,
-                                   [&](index_t i) { f(i, args...); });
-    return;
-  }
-  case backend::cuda_a100:
-  case backend::hip_mi100:
-  case backend::oneapi_max1550: {
-    auto& dev = *backend_device(b);
-    const auto cfg = gpu_config_1d(dev, n, d.h);
-    jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-      const index_t i = ctx.global_x();
-      if (i < n) {
-        f(i, args...);
-      }
-    });
-    return;
-  }
-  }
-}
-
-template <class F, class... Args>
-void execute_for_2d(backend b, jaccx::pool::thread_pool* pl,
-                    const launch_desc& d, F&& f, Args&&... args) {
-  const dims2 d2 = d.as_2d();
-  const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_for, d.h.name,
-      static_cast<std::uint64_t>(d2.rows * d2.cols), d.h.flops_per_index,
-      d.h.bytes_per_index, to_string(b));
-  switch (b) {
-  case backend::serial: {
-    for (index_t j = 0; j < d2.cols; ++j) {
-      for (index_t i = 0; i < d2.rows; ++i) {
-        f(i, j, args...);
-      }
+    const auto cfg = cpu_config(d.h);
+    if constexpr (Rank == 1) {
+      jaccx::sim::cpu_parallel_range(dev, cfg, d.rows,
+                                     [&](index_t i) { f(i, args...); });
+    } else if constexpr (Rank == 2) {
+      jaccx::sim::cpu_parallel_range_2d(
+          dev, cfg, d.rows, d.cols,
+          [&](index_t i, index_t j) { f(i, j, args...); });
+    } else {
+      jaccx::sim::cpu_parallel_range_3d(
+          dev, cfg, d.rows, d.cols, d.depth,
+          [&](index_t i, index_t j, index_t k) { f(i, j, k, args...); });
     }
     return;
   }
-  case backend::threads: {
-    auto& pool = pl != nullptr ? *pl : jaccx::pool::default_pool();
-    threads_for_2d(pool, d2, f, args...);
-    return;
-  }
-  case backend::cpu_rome: {
-    auto& dev = *backend_device(b);
-    jaccx::sim::cpu_parallel_range_2d(
-        dev, cpu_config(d.h), d2.rows, d2.cols,
-        [&](index_t i, index_t j) { f(i, j, args...); });
-    return;
-  }
   case backend::cuda_a100:
   case backend::hip_mi100:
-  case backend::oneapi_max1550: {
-    auto& dev = *backend_device(b);
-    const auto cfg = gpu_config_2d(d2.rows, d2.cols, d.h);
-    jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-      const index_t i = ctx.global_x();
-      const index_t j = ctx.global_y();
-      if (i < d2.rows && j < d2.cols) {
-        f(i, j, args...);
-      }
-    });
+  case backend::oneapi_max1550:
+    sim_gpu_for<Rank>(*backend_device(b), d, 0, f, args...);
     return;
-  }
-  }
-}
-
-template <class F, class... Args>
-void execute_for_3d(backend b, jaccx::pool::thread_pool* pl,
-                    const launch_desc& d, F&& f, Args&&... args) {
-  const dims3 d3 = d.as_3d();
-  const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_for, d.h.name,
-      static_cast<std::uint64_t>(d3.rows * d3.cols * d3.depth),
-      d.h.flops_per_index, d.h.bytes_per_index, to_string(b));
-  switch (b) {
-  case backend::serial: {
-    for (index_t k = 0; k < d3.depth; ++k) {
-      for (index_t j = 0; j < d3.cols; ++j) {
-        for (index_t i = 0; i < d3.rows; ++i) {
-          f(i, j, k, args...);
-        }
-      }
-    }
-    return;
-  }
-  case backend::threads: {
-    auto& pool = pl != nullptr ? *pl : jaccx::pool::default_pool();
-    threads_for_3d(pool, d3, f, args...);
-    return;
-  }
-  case backend::cpu_rome: {
-    auto& dev = *backend_device(b);
-    jaccx::sim::cpu_parallel_range_3d(
-        dev, cpu_config(d.h), d3.rows, d3.cols, d3.depth,
-        [&](index_t i, index_t j, index_t k) { f(i, j, k, args...); });
-    return;
-  }
-  case backend::cuda_a100:
-  case backend::hip_mi100:
-  case backend::oneapi_max1550: {
-    auto& dev = *backend_device(b);
-    const auto cfg = gpu_config_3d(d3, d.h);
-    jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-      const index_t i = ctx.global_x();
-      const index_t j = ctx.global_y();
-      const index_t k = ctx.global_z();
-      if (i < d3.rows && j < d3.cols && k < d3.depth) {
-        f(i, j, k, args...);
-      }
-    });
-    return;
-  }
   }
 }
 
 } // namespace detail
 } // namespace jacc
 
-// The sharding engine reuses the launch-config helpers above, so it must
-// land after them (core/shard.hpp documents it is not standalone).
+// The sharding engine reuses the launch helpers above, so it must land
+// after them (core/shard.hpp documents it is not standalone).
 #include "core/shard.hpp"
 
 namespace jacc {
 namespace detail {
 
+/// Runs a deferred (queued or captured) launch from its closure: the
+/// descriptor's name view is re-pointed at the closure-owned copy on every
+/// run — the closure may have moved since capture — and the captured
+/// trailing args are unpacked.
+template <int Rank, class F, class Tuple>
+void run_deferred_for(backend b, jaccx::pool::thread_pool* pl, launch_desc d,
+                      const std::string& name, F& fn, Tuple& tup) {
+  d.h.name = name;
+  std::apply([&](auto&... as) { execute_for<Rank>(b, pl, d, fn, as...); },
+             tup);
+}
+
 /// Graph capture of a parallel_for: the whole front end — capture policy,
 /// hint resolution, descriptor building, name ownership — runs once, here,
 /// and the recorded node body is the residue.  The serial and threads 1D
 /// shapes (the dispatch-overhead benchmark's subject) get specialized
-/// bodies that skip even the per-rank dispatch switch on replay: a plain
-/// loop (or pool fan-out) guarded by the usual one-load prof gate.  Every
-/// other shape pre-bakes the generic runner, whose sim charge path is
-/// identical to eager issue.
+/// bodies that skip even the backend switch on replay: a plain loop (or
+/// pool fan-out) guarded by the usual one-load prof gate.  Every other
+/// shape pre-bakes the generic runner, whose sim charge path is identical
+/// to eager issue.
 template <int Rank, class F, class... Args>
 event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
                   Args&&... args) {
@@ -475,19 +422,7 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
     body = make_replay_body(
         [d, b, name, fn = std::move(fn),
          tup](jaccx::pool::thread_pool* pl) mutable {
-          launch_desc desc = d;
-          desc.h.name = name;
-          std::apply(
-              [&](auto&... as) {
-                if constexpr (Rank == 1) {
-                  execute_for_1d(b, pl, desc, fn, as...);
-                } else if constexpr (Rank == 2) {
-                  execute_for_2d(b, pl, desc, fn, as...);
-                } else {
-                  execute_for_3d(b, pl, desc, fn, as...);
-                }
-              },
-              *tup);
+          run_deferred_for<Rank>(b, pl, d, name, fn, *tup);
         });
   }
   if (fusable != nullptr) {
@@ -498,218 +433,88 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
                         std::move(body));
 }
 
-/// Builds the queued runner: the descriptor and kernel are copied, the hint
-/// name is captured as an owned std::string (so a caller-provided temporary
-/// is safe even when the task runs later on a lane thread), trailing args
-/// captured per async_arg_t, and the per-rank body is invoked with the
-/// lane's pool (null outside lanes).
-template <int Rank, class F, class... Args>
-event enqueue_for(queue& q, backend b, const launch_desc& d, F&& f,
-                  Args&&... args) {
-  if (queue_capturing(q)) [[unlikely]] {
-    return capture_for<Rank>(q, b, d, std::forward<F>(f),
-                             std::forward<Args>(args)...);
-  }
-  return enqueue_common(
-      q, b, /*is_copy=*/false, d.h.name,
-      [d, b, name = std::string(d.h.name),
-       fn = std::decay_t<F>(std::forward<F>(f)),
-       tup = std::tuple<async_arg_t<Args&&>...>(std::forward<Args>(args)...)](
-          jaccx::pool::thread_pool* pl) mutable {
-        // Re-point the descriptor's name view at the closure-owned copy on
-        // every run: the closure may have been moved since capture.
-        launch_desc desc = d;
-        desc.h.name = name;
-        std::apply(
-            [&](auto&... as) {
-              if constexpr (Rank == 1) {
-                execute_for_1d(b, pl, desc, fn, as...);
-              } else if constexpr (Rank == 2) {
-                execute_for_2d(b, pl, desc, fn, as...);
-              } else {
-                execute_for_3d(b, pl, desc, fn, as...);
-              }
-            },
-            tup);
-      });
-}
-
 } // namespace detail
 
 // --- queued overloads: enqueue on `q`, return a jacc::event -----------------
 
-/// 1D parallel_for on a queue, with accounting hints.
-template <class F, class... Args>
-event parallel_for(queue& q, const hints& h, index_t n, F&& f,
-                   Args&&... args) {
-  JACCX_ASSERT(n >= 0);
-  if (n == 0) {
-    return event{};
-  }
-  const backend b = current_backend();
-  const detail::launch_desc d = detail::launch_desc::d1(h, n);
-  if (q.is_default()) {
-    // The sync model verbatim: run in place, full reference semantics.
-    detail::execute_for_1d(b, nullptr, d, std::forward<F>(f),
-                           std::forward<Args>(args)...);
-    return event{};
-  }
-  return detail::enqueue_for<1>(q, b, d, std::forward<F>(f),
-                                std::forward<Args>(args)...);
-}
-
-/// 1D parallel_for on a queue: f(i, args...) for i in [0, n).
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, Args&...>
-event parallel_for(queue& q, index_t n, F&& f, Args&&... args) {
-  return parallel_for(q, hints{}, n, std::forward<F>(f),
-                      std::forward<Args>(args)...);
-}
-
-/// 2D parallel_for on a queue, with hints.
-template <class F, class... Args>
-event parallel_for(queue& q, const hints& h, dims2 d, F&& f, Args&&... args) {
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0);
-  if (d.rows == 0 || d.cols == 0) {
-    return event{};
-  }
-  const backend b = current_backend();
-  const detail::launch_desc desc = detail::launch_desc::d2(h, d);
-  if (q.is_default()) {
-    detail::execute_for_2d(b, nullptr, desc, std::forward<F>(f),
-                           std::forward<Args>(args)...);
-    return event{};
-  }
-  return detail::enqueue_for<2>(q, b, desc, std::forward<F>(f),
-                                std::forward<Args>(args)...);
-}
-
-/// 2D parallel_for on a queue.
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, index_t, Args&...>
-event parallel_for(queue& q, dims2 d, F&& f, Args&&... args) {
-  return parallel_for(q, hints{}, d, std::forward<F>(f),
-                      std::forward<Args>(args)...);
-}
-
-/// 3D parallel_for on a queue, with hints.
-template <class F, class... Args>
-event parallel_for(queue& q, const hints& h, dims3 d, F&& f, Args&&... args) {
+/// parallel_for on a queue, with accounting hints: f(i[, j[, k]], args...)
+/// over the shape `s` (an extent, dims2 or dims3).  On the default queue it
+/// runs in place — the sync model verbatim, full reference semantics.
+template <detail::launch_shape S, class F, class... Args>
+event parallel_for(queue& q, const hints& h, S s, F&& f, Args&&... args) {
+  constexpr int Rank = detail::rank_of<S>;
+  const detail::launch_desc d = detail::launch_desc::of(h, s);
   JACCX_ASSERT(d.rows >= 0 && d.cols >= 0 && d.depth >= 0);
-  if (d.rows == 0 || d.cols == 0 || d.depth == 0) {
+  if (d.empty()) {
     return event{};
   }
   const backend b = current_backend();
-  const detail::launch_desc desc = detail::launch_desc::d3(h, d);
   if (q.is_default()) {
-    detail::execute_for_3d(b, nullptr, desc, std::forward<F>(f),
-                           std::forward<Args>(args)...);
+    detail::execute_for<Rank>(b, nullptr, d, std::forward<F>(f),
+                              std::forward<Args>(args)...);
     return event{};
   }
-  return detail::enqueue_for<3>(q, b, desc, std::forward<F>(f),
-                                std::forward<Args>(args)...);
+  if (detail::queue_capturing(q)) [[unlikely]] {
+    return detail::capture_for<Rank>(q, b, d, std::forward<F>(f),
+                                     std::forward<Args>(args)...);
+  }
+  // Queued runner: kernel copied, hint name owned (a caller's temporary
+  // is safe even when the task runs later on a lane thread), trailing args
+  // captured per async_arg_t; lanes hand their pool in (null elsewhere).
+  return detail::enqueue_common(
+      q, b, /*is_copy=*/false, h.name,
+      [d, b, name = std::string(h.name),
+       fn = std::decay_t<F>(std::forward<F>(f)),
+       tup = std::tuple<detail::async_arg_t<Args&&>...>(
+           std::forward<Args>(args)...)](
+          jaccx::pool::thread_pool* pl) mutable {
+        detail::run_deferred_for<Rank>(b, pl, d, name, fn, tup);
+      });
 }
 
-/// 3D parallel_for on a queue.
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, index_t, index_t, Args&...>
-event parallel_for(queue& q, dims3 d, F&& f, Args&&... args) {
-  return parallel_for(q, hints{}, d, std::forward<F>(f),
+/// parallel_for on a queue: f(i[, j[, k]], args...) over `s`.
+template <class S, class F, class... Args>
+  requires detail::kernel_for<S, F, Args...>
+event parallel_for(queue& q, S s, F&& f, Args&&... args) {
+  return parallel_for(q, hints{}, s, std::forward<F>(f),
                       std::forward<Args>(args)...);
 }
 
 // --- synchronous overloads (the paper's API) --------------------------------
-// Inside a queue_scope these route to the scope's queue; otherwise they are
-// the direct execution bodies, unchanged from the pre-queue model.
+// Inside a queue_scope these route to the scope's queue; inside a
+// device_set_scope to the sharding engine; otherwise they are the direct
+// execution body, unchanged from the pre-queue model.
 
-/// 1D parallel_for with accounting hints.
-template <class F, class... Args>
-void parallel_for(const hints& h, index_t n, F&& f, Args&&... args) {
+/// parallel_for with accounting hints: f(i[, j[, k]], args...) over `s`;
+/// i is the fast (column-major) index.
+template <detail::launch_shape S, class F, class... Args>
+void parallel_for(const hints& h, S s, F&& f, Args&&... args) {
   if (queue* q = detail::active_queue(); q != nullptr) [[unlikely]] {
-    parallel_for(*q, h, n, std::forward<F>(f), std::forward<Args>(args)...);
+    parallel_for(*q, h, s, std::forward<F>(f), std::forward<Args>(args)...);
     return;
   }
-  JACCX_ASSERT(n >= 0);
-  if (n == 0) {
-    return;
-  }
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr)
-      [[unlikely]] {
-    detail::shard_execute_for<1>(*ds, detail::launch_desc::d1(h, n),
-                                 std::forward<F>(f),
-                                 std::forward<Args>(args)...);
-    return;
-  }
-  detail::execute_for_1d(current_backend(), nullptr,
-                         detail::launch_desc::d1(h, n), std::forward<F>(f),
-                         std::forward<Args>(args)...);
-}
-
-/// 1D parallel_for: f(i, args...) for i in [0, n).
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, Args&...>
-void parallel_for(index_t n, F&& f, Args&&... args) {
-  parallel_for(hints{}, n, std::forward<F>(f), std::forward<Args>(args)...);
-}
-
-/// 2D parallel_for with hints: f(i, j, args...) over rows x cols.
-template <class F, class... Args>
-void parallel_for(const hints& h, dims2 d, F&& f, Args&&... args) {
-  if (queue* q = detail::active_queue(); q != nullptr) [[unlikely]] {
-    parallel_for(*q, h, d, std::forward<F>(f), std::forward<Args>(args)...);
-    return;
-  }
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0);
-  if (d.rows == 0 || d.cols == 0) {
-    return;
-  }
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr)
-      [[unlikely]] {
-    detail::shard_execute_for<2>(*ds, detail::launch_desc::d2(h, d),
-                                 std::forward<F>(f),
-                                 std::forward<Args>(args)...);
-    return;
-  }
-  detail::execute_for_2d(current_backend(), nullptr,
-                         detail::launch_desc::d2(h, d), std::forward<F>(f),
-                         std::forward<Args>(args)...);
-}
-
-/// 2D parallel_for: f(i, j, args...); i is the fast (column-major) index.
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, index_t, Args&...>
-void parallel_for(dims2 d, F&& f, Args&&... args) {
-  parallel_for(hints{}, d, std::forward<F>(f), std::forward<Args>(args)...);
-}
-
-/// 3D parallel_for with hints: f(i, j, k, args...).
-template <class F, class... Args>
-void parallel_for(const hints& h, dims3 d, F&& f, Args&&... args) {
-  if (queue* q = detail::active_queue(); q != nullptr) [[unlikely]] {
-    parallel_for(*q, h, d, std::forward<F>(f), std::forward<Args>(args)...);
-    return;
-  }
+  constexpr int Rank = detail::rank_of<S>;
+  const detail::launch_desc d = detail::launch_desc::of(h, s);
   JACCX_ASSERT(d.rows >= 0 && d.cols >= 0 && d.depth >= 0);
-  if (d.rows == 0 || d.cols == 0 || d.depth == 0) {
+  if (d.empty()) {
     return;
   }
   if (device_set* ds = detail::active_shard_set(); ds != nullptr)
       [[unlikely]] {
-    detail::shard_execute_for<3>(*ds, detail::launch_desc::d3(h, d),
-                                 std::forward<F>(f),
-                                 std::forward<Args>(args)...);
+    detail::shard_execute_for<Rank>(*ds, d, std::forward<F>(f),
+                                    std::forward<Args>(args)...);
     return;
   }
-  detail::execute_for_3d(current_backend(), nullptr,
-                         detail::launch_desc::d3(h, d), std::forward<F>(f),
-                         std::forward<Args>(args)...);
+  detail::execute_for<Rank>(current_backend(), nullptr, d, std::forward<F>(f),
+                            std::forward<Args>(args)...);
 }
 
-/// 3D parallel_for: f(i, j, k, args...).
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, index_t, index_t, Args&...>
-void parallel_for(dims3 d, F&& f, Args&&... args) {
-  parallel_for(hints{}, d, std::forward<F>(f), std::forward<Args>(args)...);
+/// parallel_for: `JACC.parallel_for(N, f, args...)`, `((M, N), ...)` or
+/// `((M, N, K), ...)` — f(i[, j[, k]], args...) over `s`.
+template <class S, class F, class... Args>
+  requires detail::kernel_for<S, F, Args...>
+void parallel_for(S s, F&& f, Args&&... args) {
+  parallel_for(hints{}, s, std::forward<F>(f), std::forward<Args>(args)...);
 }
 
 } // namespace jacc

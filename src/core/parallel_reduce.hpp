@@ -2,8 +2,11 @@
 //
 //   res = jacc::parallel_reduce(n, f, args...)           sum of f(i, args...)
 //   res = jacc::parallel_reduce(dims2{M,N}, f, args...)  sum of f(i, j, ...)
+//   res = jacc::parallel_reduce(dims3{M,N,K}, f, ...)    sum of f(i, j, k, ...)
 //
-// plus min/max variants (a JACC.jl extension).  The result is returned on
+// plus 1D min/max variants (a JACC.jl extension).  Like parallel_for, every
+// form lowers to one launch_desc and one rank-generic body,
+// reduce_execute<Rank>, with a single backend switch.  The result is returned on
 // the host; under simulated GPU back ends that implies the same two-kernel
 // shared-memory tree reduction + scalar D2H transfer the paper's Fig. 3
 // shows — which is exactly why DOT trails AXPY on every GPU in Figs. 8/9.
@@ -16,6 +19,7 @@
 // two zero-fill kernels are skipped (see mem/workspace.hpp).
 #pragma once
 
+#include <array>
 #include <cstring>
 #include <limits>
 #include <type_traits>
@@ -73,14 +77,9 @@ inline constexpr std::int64_t reduce_block = 512;
 /// oneAPI.zeros: real work on real devices, so it is charged as a kernel.
 template <class R>
 void fill_zero_sim(jaccx::sim::device& dev, jaccx::sim::device_span<R> s) {
-  jaccx::sim::launch_config cfg;
   const std::int64_t n = s.size();
-  const std::int64_t maxt = dev.model().max_threads_per_block;
-  const std::int64_t threads = n < maxt ? (n > 0 ? n : 1) : maxt;
-  cfg.block = jaccx::sim::dim3{threads};
-  cfg.grid = jaccx::sim::dim3{jaccx::sim::ceil_div(n > 0 ? n : 1, threads)};
-  cfg.name = "jacc.zeros";
-  cfg.flavor.via_jacc = true;
+  const auto cfg =
+      gpu_config<1>(dev, launch_desc::of(hints{.name = "jacc.zeros"}, n));
   jaccx::sim::launch(dev, cfg, [s, n](jaccx::sim::kernel_ctx& ctx) {
     const index_t i = ctx.global_x();
     if (i < n) {
@@ -180,18 +179,36 @@ R reduce_sim_gpu(jaccx::sim::device& dev, const hints& h, index_t n, Op op,
   return out;
 }
 
-/// Real thread-pool reduction plumbing: one cache-line-padded partial per
-/// worker, with `fold(acc, chunk)` accumulating one chunk into a worker's
-/// slot.  Under dynamic scheduling a worker receives several chunks, so
-/// each chunk folds into the slot rather than overwriting it; the slot
-/// stays worker-private either way.  Under JACC_MEM_POOL=bucket the slot
-/// array is the persistent mem scratch (leased for the whole reduction);
-/// under none it is the seed's per-call vector.
-template <class R, class Op, class Fold>
-R reduce_threads_impl(index_t n, Op op, const Fold& fold,
-                      jaccx::pool::thread_pool* pl = nullptr) {
+/// Real thread-pool reduction: one cache-line-padded partial per worker,
+/// each chunk of the flattened (i fastest) range folded into its worker's
+/// slot — 2D/3D chunks walked row-stepped with walk_flat_2d/3d, one div/mod
+/// per chunk instead of per element.  Under dynamic scheduling a worker
+/// receives several chunks, so each chunk folds into the slot rather than
+/// overwriting it; the slot stays worker-private either way.  Under
+/// JACC_MEM_POOL=bucket the slot array is the persistent mem scratch
+/// (leased for the whole reduction); under none it is the seed's per-call
+/// vector.
+template <class R, int Rank, class Op, class At>
+R reduce_threads(jaccx::pool::thread_pool& pool, const launch_desc& d, Op op,
+                 const At& at) {
   static_assert(sizeof(R) <= jaccx::cache_line_bytes);
-  auto& pool = pl != nullptr ? *pl : jaccx::pool::default_pool();
+  const auto fold = [&](R acc, jaccx::pool::range chunk) {
+    if constexpr (Rank == 1) {
+      for (index_t i = chunk.begin; i < chunk.end; ++i) {
+        acc = op(acc, at(i, 0, 0));
+      }
+    } else if constexpr (Rank == 2) {
+      jaccx::pool::walk_flat_2d(chunk, d.rows, [&](index_t i, index_t j) {
+        acc = op(acc, at(i, j, 0));
+      });
+    } else {
+      jaccx::pool::walk_flat_3d(chunk, d.rows, d.cols,
+                                [&](index_t i, index_t j, index_t k) {
+        acc = op(acc, at(i, j, k));
+      });
+    }
+    return acc;
+  };
   const unsigned width = pool.size();
   if (jaccx::mem::pooling()) {
     jaccx::mem::host_scratch_lease lease(static_cast<std::size_t>(width) *
@@ -204,7 +221,8 @@ R reduce_threads_impl(index_t n, Op op, const Fold& fold,
     for (unsigned w = 0; w < width; ++w) {
       *slot(w) = Op::template identity<R>();
     }
-    pool.parallel_chunks(n, [&](unsigned worker, jaccx::pool::range chunk) {
+    pool.parallel_chunks(d.count(),
+                         [&](unsigned worker, jaccx::pool::range chunk) {
       *slot(worker) = fold(*slot(worker), chunk);
     });
     R out = Op::template identity<R>();
@@ -217,7 +235,8 @@ R reduce_threads_impl(index_t n, Op op, const Fold& fold,
     R value;
   };
   std::vector<slot_t> partials(width, slot_t{Op::template identity<R>()});
-  pool.parallel_chunks(n, [&](unsigned worker, jaccx::pool::range chunk) {
+  pool.parallel_chunks(d.count(),
+                       [&](unsigned worker, jaccx::pool::range chunk) {
     partials[worker].value = fold(partials[worker].value, chunk);
   });
   R out = Op::template identity<R>();
@@ -227,313 +246,128 @@ R reduce_threads_impl(index_t n, Op op, const Fold& fold,
   return out;
 }
 
-template <class R, class Op, class Eval>
-R reduce_threads(index_t n, Op op, const Eval& eval,
-                 jaccx::pool::thread_pool* pl = nullptr) {
-  return reduce_threads_impl<R>(
-      n, op,
-      [&](R acc, jaccx::pool::range chunk) {
-        for (index_t i = chunk.begin; i < chunk.end; ++i) {
-          acc = op(acc, eval(i));
-        }
-        return acc;
-      },
-      pl);
+/// The linearized index mapping of the simulated reductions (i fastest,
+/// then j, then k — the mapping parallel_for's GPU launches use).
+template <int Rank>
+std::array<index_t, 3> decode_linear(const launch_desc& d, index_t idx) {
+  if constexpr (Rank == 1) {
+    return {idx, 0, 0};
+  } else if constexpr (Rank == 2) {
+    return {idx % d.rows, idx / d.rows, 0};
+  } else {
+    return {idx % d.rows, (idx / d.rows) % d.cols, idx / (d.rows * d.cols)};
+  }
 }
 
-/// 2D threads reduction: chunks of the flattened (i fastest) space walked
-/// row-stepped — one div/mod per chunk instead of two per element.
-template <class R, class Op, class Eval2>
-R reduce_threads_2d(dims2 d, Op op, const Eval2& eval,
-                    jaccx::pool::thread_pool* pl = nullptr) {
-  return reduce_threads_impl<R>(
-      d.rows * d.cols, op,
-      [&](R acc, jaccx::pool::range chunk) {
-        jaccx::pool::walk_flat_2d(chunk, d.rows, [&](index_t i, index_t j) {
-          acc = op(acc, eval(i, j));
-        });
-        return acc;
-      },
-      pl);
-}
+/// Result type of a Rank-D reduction kernel.
+template <int Rank, class F, class... Args>
+using reduce_result_t = std::remove_cvref_t<decltype(call_at<Rank>(
+    std::declval<F&>(), index_t{}, index_t{}, index_t{},
+    std::declval<Args&>()...))>;
 
-/// 3D threads reduction: chunks of the flattened (i fastest) space walked
-/// with walk_flat_3d, mirroring reduce_threads_2d.
-template <class R, class Op, class Eval3>
-R reduce_threads_3d(dims3 d, Op op, const Eval3& eval,
-                    jaccx::pool::thread_pool* pl = nullptr) {
-  return reduce_threads_impl<R>(
-      d.rows * d.cols * d.depth, op,
-      [&](R acc, jaccx::pool::range chunk) {
-        jaccx::pool::walk_flat_3d(chunk, d.rows, d.cols,
-                                  [&](index_t i, index_t j, index_t k) {
-          acc = op(acc, eval(i, j, k));
-        });
-        return acc;
-      },
-      pl);
-}
-
-/// Core dispatch shared by the 1D/2D front ends.  `pl` overrides the
-/// worker pool on the threads backend (queue lanes); null = default pool.
-template <class Op, class Eval>
-auto reduce_dispatch(const hints& h, index_t n, Op op, const Eval& eval,
-                     jaccx::pool::thread_pool* pl = nullptr) {
-  using R = std::remove_cvref_t<decltype(eval(index_t{0}))>;
+/// The one parallel_reduce execution body: a single backend switch for
+/// every rank.  The real CPU back ends walk the range in column-major order
+/// (serial: nested loops; threads: row-stepped chunks), the simulated ones
+/// the linearized index space; visit order (i fastest) is the same, so sums
+/// associate alike.  An empty range returns the identity.  `pl` overrides
+/// the worker pool on the threads backend (queue lanes); null = default.
+template <int Rank, class Op, class F, class... Args>
+auto reduce_execute(backend b, jaccx::pool::thread_pool* pl,
+                    const launch_desc& d, Op op, F& f, Args&... args) {
+  using R = reduce_result_t<Rank, F, Args...>;
   static_assert(std::is_arithmetic_v<R>,
                 "parallel_reduce kernels must return an arithmetic value");
-  if (n == 0) {
+  if (d.empty()) {
     return Op::template identity<R>();
   }
-  const backend b = current_backend();
   const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_reduce, h.name,
-      static_cast<std::uint64_t>(n), h.flops_per_index, h.bytes_per_index,
-      to_string(b));
+      jaccx::prof::construct::parallel_reduce, d.h.name,
+      static_cast<std::uint64_t>(d.count()), d.h.flops_per_index,
+      d.h.bytes_per_index, to_string(b));
+  const auto at = [&](index_t i, index_t j, index_t k) -> R {
+    return call_at<Rank>(f, i, j, k, args...);
+  };
+  const auto linear = [&](index_t idx) -> R {
+    const auto x = decode_linear<Rank>(d, idx);
+    return at(x[0], x[1], x[2]);
+  };
   switch (b) {
   case backend::serial: {
     R acc = Op::template identity<R>();
-    for (index_t i = 0; i < n; ++i) {
-      acc = op(acc, eval(i));
-    }
+    serial_visit<Rank>(d, [&](index_t i, index_t j, index_t k) {
+      acc = op(acc, at(i, j, k));
+    });
     return acc;
   }
   case backend::threads:
-    return reduce_threads<R>(n, op, eval, pl);
+    return reduce_threads<R, Rank>(
+        pl != nullptr ? *pl : jaccx::pool::default_pool(), d, op, at);
   case backend::cpu_rome: {
-    auto& dev = *backend_device(b);
-    auto cfg = detail::cpu_config(h);
+    auto cfg = cpu_config(d.h);
     cfg.flavor.is_reduce = true;
     R acc = Op::template identity<R>();
-    jaccx::sim::cpu_parallel_range(dev, cfg, n,
-                                   [&](index_t i) { acc = op(acc, eval(i)); });
+    jaccx::sim::cpu_parallel_range(*backend_device(b), cfg, d.count(),
+                                   [&](index_t idx) {
+      acc = op(acc, linear(idx));
+    });
     return acc;
   }
   case backend::cuda_a100:
   case backend::hip_mi100:
   case backend::oneapi_max1550:
-    return reduce_sim_gpu<R>(*backend_device(b), h, n, op, eval);
+    return reduce_sim_gpu<R>(*backend_device(b), d.h, d.count(), op, linear);
   }
   return Op::template identity<R>();
 }
 
-/// Row-stepped 2D reduction for the real CPU back ends: serial runs a
-/// plain column-major double loop, threads walks each flattened chunk with
-/// walk_flat_2d.  The linearized path (kept for the simulated-GPU lanes,
-/// where it mirrors the paper's index mapping) pays `idx % rows` and
-/// `idx / rows` per element; here that is one div/mod per chunk.  Visit
-/// order (i fastest) is identical, so sums associate in the same order and
-/// results match the linearized path bit for bit.
-template <class Op, class Eval2>
-auto reduce_cpu_2d(const hints& h, dims2 d, backend b, Op op,
-                   const Eval2& eval, jaccx::pool::thread_pool* pl = nullptr) {
-  using R = std::remove_cvref_t<decltype(eval(index_t{0}, index_t{0}))>;
+/// Sharded reduction (device_set_scope): stage the array arguments against
+/// the set's plan, then let each device tree-reduce its chunk of the
+/// slowest dimension (linearized, i fastest, global indices) and combine
+/// the partials on the host in device order.  Staging, partitioning and
+/// combine order are those of the sharded parallel_for.
+template <int Rank, class Op, class F, class... Args>
+auto shard_reduce(device_set& ds, const launch_desc& d, Op op, F& f,
+                  Args&... args) {
+  using R = reduce_result_t<Rank, F, Args...>;
   static_assert(std::is_arithmetic_v<R>,
                 "parallel_reduce kernels must return an arithmetic value");
-  const index_t total = d.rows * d.cols;
-  if (total == 0) {
+  if (d.empty()) {
     return Op::template identity<R>();
   }
+  const index_t radius = shard_stage_args(ds, d.h, args...);
   const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_reduce, h.name,
-      static_cast<std::uint64_t>(total), h.flops_per_index, h.bytes_per_index,
-      to_string(b));
-  if (b == backend::serial) {
-    R acc = Op::template identity<R>();
-    for (index_t j = 0; j < d.cols; ++j) {
-      for (index_t i = 0; i < d.rows; ++i) {
-        acc = op(acc, eval(i, j));
-      }
-    }
-    return acc;
-  }
-  return reduce_threads_2d<R>(d, op, eval, pl);
-}
-
-/// 2D dispatch shared by the sync and queued front ends: real CPU back
-/// ends take the row-stepped path, simulated lanes the linearized one.
-template <class Op, class Eval2>
-auto reduce_2d_dispatch(const hints& h, dims2 d, backend b, Op op,
-                        const Eval2& eval,
-                        jaccx::pool::thread_pool* pl = nullptr) {
-  if (b == backend::serial || b == backend::threads) {
-    return reduce_cpu_2d(h, d, b, op, eval, pl);
-  }
-  const index_t total = d.rows * d.cols;
-  return reduce_dispatch(
-      h, total, op,
-      [&](index_t idx) {
-        const index_t i = idx % d.rows;
-        const index_t j = idx / d.rows;
-        return eval(i, j);
-      },
-      pl);
-}
-
-/// Row-stepped 3D reduction for the real CPU back ends: serial runs the
-/// column-major triple loop (i fastest), threads walks each flattened
-/// chunk with walk_flat_3d.  Visit order matches the linearized simulated
-/// path, so results agree bit for bit.
-template <class Op, class Eval3>
-auto reduce_cpu_3d(const hints& h, dims3 d, backend b, Op op,
-                   const Eval3& eval, jaccx::pool::thread_pool* pl = nullptr) {
-  using R =
-      std::remove_cvref_t<decltype(eval(index_t{0}, index_t{0}, index_t{0}))>;
-  static_assert(std::is_arithmetic_v<R>,
-                "parallel_reduce kernels must return an arithmetic value");
-  const index_t total = d.rows * d.cols * d.depth;
-  if (total == 0) {
-    return Op::template identity<R>();
-  }
-  const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_reduce, h.name,
-      static_cast<std::uint64_t>(total), h.flops_per_index, h.bytes_per_index,
-      to_string(b));
-  if (b == backend::serial) {
-    R acc = Op::template identity<R>();
-    for (index_t k = 0; k < d.depth; ++k) {
-      for (index_t j = 0; j < d.cols; ++j) {
-        for (index_t i = 0; i < d.rows; ++i) {
-          acc = op(acc, eval(i, j, k));
-        }
-      }
-    }
-    return acc;
-  }
-  return reduce_threads_3d<R>(d, op, eval, pl);
-}
-
-/// 3D dispatch: real CPU back ends take the row-stepped path, simulated
-/// lanes the linearized one (i fastest, then j, then k — the same mapping
-/// parallel_for's 3D launch uses).
-template <class Op, class Eval3>
-auto reduce_3d_dispatch(const hints& h, dims3 d, backend b, Op op,
-                        const Eval3& eval,
-                        jaccx::pool::thread_pool* pl = nullptr) {
-  if (b == backend::serial || b == backend::threads) {
-    return reduce_cpu_3d(h, d, b, op, eval, pl);
-  }
-  const index_t total = d.rows * d.cols * d.depth;
-  return reduce_dispatch(
-      h, total, op,
-      [&](index_t idx) {
-        const index_t i = idx % d.rows;
-        const index_t j = (idx / d.rows) % d.cols;
-        const index_t k = idx / (d.rows * d.cols);
-        return eval(i, j, k);
-      },
-      pl);
-}
-
-// --- sharded reductions (device_set_scope) ----------------------------------
-
-/// Per-device loop shared by the sharded 1/2/3-D reductions: stage the
-/// array arguments against the set's plan, then let each device tree-reduce
-/// its owned chunk of the slowest dimension and combine the partials on the
-/// host in device order.  For equal weights the chunks, the per-device
-/// engine (reduce_sim_gpu) and the combination order are all identical to
-/// the deprecated jaccx::multi::parallel_reduce, so results match bit for
-/// bit.  `partial(dev, owned)` runs the device-local reduction.
-template <class R, class Op, class Partial, class... Args>
-R shard_reduce_loop(device_set& ds, const hints& h, std::uint64_t count,
-                    index_t slow, index_t fast, Op op, const Partial& partial,
-                    Args&... args) {
-  const index_t radius = shard_stage_args(ds, h, args...);
-  const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_reduce, h.name, count,
-      h.flops_per_index, h.bytes_per_index, to_string(ds.target()));
+      jaccx::prof::construct::parallel_reduce, d.h.name,
+      static_cast<std::uint64_t>(d.count()), d.h.flops_per_index,
+      d.h.bytes_per_index, to_string(ds.target()));
   R total = Op::template identity<R>();
-  for (int dv = 0; dv < ds.devices(); ++dv) {
-    const auto owned = ds.chunk(slow, dv);
-    if (owned.empty()) {
-      continue;
-    }
-    auto& dev = ds.dev(dv);
-    if (radius > 0) {
-      jaccx::sim::join(dev, {&ds.shard_stream(dv)});
-    }
-    (shard_bind_arg(dv, args), ...);
-    const double t0 = dev.tl().now_us();
-    const R p = partial(dev, owned);
-    (shard_unbind_arg(args), ...);
-    ds.note_launch(dv, dev.tl().now_us() - t0, owned.size() * fast, h);
-    total = op(total, p);
-  }
-  ds.maybe_rebalance();
+  shard_each<Rank>(
+      ds, d, radius,
+      [&](jaccx::sim::device& dev, const launch_desc& local, index_t slow0) {
+        total = op(total, reduce_sim_gpu<R>(
+                              dev, d.h, local.count(), op, [&](index_t idx) {
+                                auto x = decode_linear<Rank>(local, idx);
+                                x[Rank - 1] += slow0;
+                                return call_at<Rank>(f, x[0], x[1], x[2],
+                                                     args...);
+                              }));
+      },
+      args...);
   return total;
 }
 
-/// Sharded 1D reduction with global indices.
-template <class Op, class F, class... Args>
-auto shard_reduce_1d(device_set& ds, const hints& h, index_t n, Op op, F&& f,
-                     Args&&... args) {
-  using R = std::remove_cvref_t<decltype(f(index_t{0}, args...))>;
-  static_assert(std::is_arithmetic_v<R>,
-                "parallel_reduce kernels must return an arithmetic value");
-  if (n == 0) {
-    return Op::template identity<R>();
+/// The synchronous body outside any queue: sharded under a device_set
+/// scope, else the current backend's reduce_execute.
+template <int Rank, class Op, class F, class... Args>
+auto reduce_here(const launch_desc& d, Op op, F& f, Args&... args) {
+  if (device_set* ds = active_shard_set(); ds != nullptr) [[unlikely]] {
+    return shard_reduce<Rank>(*ds, d, op, f, args...);
   }
-  return shard_reduce_loop<R>(
-      ds, h, static_cast<std::uint64_t>(n), n, index_t{1}, op,
-      [&](jaccx::sim::device& dev, auto owned) {
-        return reduce_sim_gpu<R>(dev, h, owned.size(), op, [&](index_t li) {
-          return f(owned.begin + li, args...);
-        });
-      },
-      args...);
+  return reduce_execute<Rank>(current_backend(), nullptr, d, op, f, args...);
 }
 
-/// Sharded 2D reduction: columns are chunked, each device reduces its
-/// linearized rows × local-cols block (i fastest), j is global.
-template <class Op, class F, class... Args>
-auto shard_reduce_2d(device_set& ds, const hints& h, dims2 d, Op op, F&& f,
-                     Args&&... args) {
-  using R = std::remove_cvref_t<decltype(f(index_t{0}, index_t{0}, args...))>;
-  static_assert(std::is_arithmetic_v<R>,
-                "parallel_reduce kernels must return an arithmetic value");
-  const index_t total = d.rows * d.cols;
-  if (total == 0) {
-    return Op::template identity<R>();
-  }
-  return shard_reduce_loop<R>(
-      ds, h, static_cast<std::uint64_t>(total), d.cols, d.rows, op,
-      [&](jaccx::sim::device& dev, auto owned) {
-        return reduce_sim_gpu<R>(
-            dev, h, d.rows * owned.size(), op, [&](index_t idx) {
-              const index_t i = idx % d.rows;
-              const index_t lj = idx / d.rows;
-              return f(i, owned.begin + lj, args...);
-            });
-      },
-      args...);
-}
-
-/// Sharded 3D reduction: depth planes are chunked, i/j are global.
-template <class Op, class F, class... Args>
-auto shard_reduce_3d(device_set& ds, const hints& h, dims3 d, Op op, F&& f,
-                     Args&&... args) {
-  using R = std::remove_cvref_t<decltype(f(index_t{0}, index_t{0}, index_t{0},
-                                           args...))>;
-  static_assert(std::is_arithmetic_v<R>,
-                "parallel_reduce kernels must return an arithmetic value");
-  const index_t total = d.rows * d.cols * d.depth;
-  if (total == 0) {
-    return Op::template identity<R>();
-  }
-  const index_t plane = d.rows * d.cols;
-  return shard_reduce_loop<R>(
-      ds, h, static_cast<std::uint64_t>(total), d.depth, plane, op,
-      [&](jaccx::sim::device& dev, auto owned) {
-        return reduce_sim_gpu<R>(
-            dev, h, plane * owned.size(), op, [&](index_t idx) {
-              const index_t i = idx % d.rows;
-              const index_t j = (idx / d.rows) % d.cols;
-              const index_t lk = idx / plane;
-              return f(i, j, owned.begin + lk, args...);
-            });
-      },
-      args...);
-}
+/// Default hint names, one per rank, as trace and profiler rows show them.
+inline constexpr std::string_view reduce_names[] = {
+    "jacc.parallel_reduce", "jacc.parallel_reduce2d", "jacc.parallel_reduce3d"};
 
 } // namespace detail
 
@@ -545,170 +379,74 @@ auto shard_reduce_3d(device_set& ds, const hints& h, dims3 d, Op op, F&& f,
 // async lanes the host genuinely continues while the lane computes.  The
 // free parallel_reduce(q, ...) overloads below are these calls plus .get().
 
-template <class F, class... Args>
-auto queue::parallel_reduce(const hints& h, index_t n, F&& f, Args&&... args) {
-  using R = std::remove_cvref_t<decltype(f(index_t{0}, args...))>;
+template <detail::launch_shape S, class F, class... Args>
+auto queue::parallel_reduce(const hints& h, S s, F&& f, Args&&... args) {
+  constexpr int Rank = detail::rank_of<S>;
+  using R = detail::reduce_result_t<Rank, F, Args...>;
+  const detail::launch_desc d = detail::launch_desc::of(h, s);
+  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0 && d.depth >= 0);
   const backend b = current_backend();
   if (is_default()) {
     // The sync model: compute in place, future born ready.
-    return detail::make_ready_future<R>(detail::reduce_dispatch(
-        h, n, plus_reducer{}, [&](index_t i) { return f(i, args...); }));
-  }
-  if (detail::queue_capturing(*this)) [[unlikely]] {
-    // Recorded reduction: the future's pooled result slot is leased for the
-    // graph's lifetime and rewritten by every replay; its event is the
-    // capture marker (get() returns the most recent replay's value).
-    auto fs = std::make_shared<detail::future_state<R>>();
-    auto body = detail::make_replay_body(
-        [fs, hname = std::string(h.name), hflops = h.flops_per_index,
-         hbytes = h.bytes_per_index, n,
-         fn = std::decay_t<F>(std::forward<F>(f)),
-         tup = std::tuple<detail::async_arg_t<Args&&>...>(
-             std::forward<Args>(args)...)](
-            jaccx::pool::thread_pool* pl) mutable {
-          const hints hh{.name = hname, .flops_per_index = hflops,
-                         .bytes_per_index = hbytes};
-          std::apply(
-              [&](auto&... as) {
-                *fs->value() = detail::reduce_dispatch(
-                    hh, n, plus_reducer{},
-                    [&](index_t i) { return fn(i, as...); }, pl);
-              },
-              tup);
-        });
-    fs->e = detail::capture_append(*this, detail::capture_kind::kernel,
-                                   std::string(h.name), std::move(body));
-    return detail::future_access<R>::make(std::move(fs));
-  }
-  if (jaccx::sim::device* dev = backend_device(b); dev != nullptr) {
-    auto fs = std::make_shared<detail::future_state<R>>();
-    {
-      const detail::queue_bind bind(this, dev);
-      *fs->value() = detail::reduce_dispatch(
-          h, n, plus_reducer{}, [&](index_t i) { return f(i, args...); });
-    }
-    fs->e = detail::finish_sim_op(*this, *dev, /*is_copy=*/false);
-    return detail::future_access<R>::make(std::move(fs));
-  }
-  if (b == backend::threads && detail::queue_is_async(*this)) {
-    auto fs = std::make_shared<detail::future_state<R>>();
-    auto es = std::make_shared<detail::event_state>();
-    fs->e = detail::event_access::make(es);
-    detail::queue_submit(
-        *this,
-        // The hint name is re-owned (a temporary at the call site must not
-        // dangle on the lane thread) and args follow the async_arg_t
-        // policy: arrays by reference, copyables by value.
-        [fs, hname = std::string(h.name), hflops = h.flops_per_index,
-         hbytes = h.bytes_per_index, n,
-         fn = std::decay_t<F>(std::forward<F>(f)),
-         tup = std::tuple<detail::async_arg_t<Args&&>...>(
-             std::forward<Args>(args)...)](
-            jaccx::pool::thread_pool* pl) mutable {
-          const hints hh{.name = hname, .flops_per_index = hflops,
-                         .bytes_per_index = hbytes};
-          std::apply(
-              [&](auto&... as) {
-                *fs->value() = detail::reduce_dispatch(
-                    hh, n, plus_reducer{},
-                    [&](index_t i) { return fn(i, as...); }, pl);
-              },
-              tup);
-        },
-        std::move(es));
-    return detail::future_access<R>::make(std::move(fs));
-  }
-  detail::note_sync_op(*this, /*is_copy=*/false);
-  return detail::make_ready_future<R>(detail::reduce_dispatch(
-      h, n, plus_reducer{}, [&](index_t i) { return f(i, args...); }));
-}
-
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, Args&...>
-auto queue::parallel_reduce(index_t n, F&& f, Args&&... args) {
-  return parallel_reduce(hints{.name = "jacc.parallel_reduce"}, n,
-                         std::forward<F>(f), std::forward<Args>(args)...);
-}
-
-template <class F, class... Args>
-auto queue::parallel_reduce(const hints& h, dims2 d, F&& f, Args&&... args) {
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0);
-  using R = std::remove_cvref_t<decltype(f(index_t{0}, index_t{0}, args...))>;
-  const backend b = current_backend();
-  const auto eval = [&](index_t i, index_t j) { return f(i, j, args...); };
-  if (is_default()) {
     return detail::make_ready_future<R>(
-        detail::reduce_2d_dispatch(h, d, b, plus_reducer{}, eval));
+        detail::reduce_execute<Rank>(b, nullptr, d, plus_reducer{}, f, args...));
   }
-  if (detail::queue_capturing(*this)) [[unlikely]] {
+  const bool capturing = detail::queue_capturing(*this);
+  if (capturing || (b == backend::threads && detail::queue_is_async(*this))) {
+    // Deferred: the hint name is re-owned (a temporary at the call site
+    // must not dangle on the lane thread or across replays) and args follow
+    // the async_arg_t policy: arrays by reference, copyables by value.
     auto fs = std::make_shared<detail::future_state<R>>();
-    auto body = detail::make_replay_body(
-        [fs, hname = std::string(h.name), hflops = h.flops_per_index,
-         hbytes = h.bytes_per_index, d, b,
-         fn = std::decay_t<F>(std::forward<F>(f)),
-         tup = std::tuple<detail::async_arg_t<Args&&>...>(
-             std::forward<Args>(args)...)](
-            jaccx::pool::thread_pool* pl) mutable {
-          const hints hh{.name = hname, .flops_per_index = hflops,
-                         .bytes_per_index = hbytes};
-          std::apply(
-              [&](auto&... as) {
-                *fs->value() = detail::reduce_2d_dispatch(
-                    hh, d, b, plus_reducer{},
-                    [&](index_t i, index_t j) { return fn(i, j, as...); },
-                    pl);
-              },
-              tup);
-        });
-    fs->e = detail::capture_append(*this, detail::capture_kind::kernel,
-                                   std::string(h.name), std::move(body));
+    auto task = [fs, d, b, name = std::string(h.name),
+                 fn = std::decay_t<F>(std::forward<F>(f)),
+                 tup = std::tuple<detail::async_arg_t<Args&&>...>(
+                     std::forward<Args>(args)...)](
+                    jaccx::pool::thread_pool* pl) mutable {
+      detail::launch_desc desc = d;
+      desc.h.name = name;
+      std::apply(
+          [&](auto&... as) {
+            *fs->value() = detail::reduce_execute<Rank>(b, pl, desc,
+                                                        plus_reducer{}, fn,
+                                                        as...);
+          },
+          tup);
+    };
+    if (capturing) [[unlikely]] {
+      // Recorded reduction: the future's pooled result slot is leased for
+      // the graph's lifetime and rewritten by every replay; its event is
+      // the capture marker (get() returns the most recent replay's value).
+      fs->e = detail::capture_append(*this, detail::capture_kind::kernel,
+                                     std::string(h.name),
+                                     detail::make_replay_body(std::move(task)));
+    } else {
+      auto es = std::make_shared<detail::event_state>();
+      fs->e = detail::event_access::make(es);
+      detail::queue_submit(*this, std::move(task), std::move(es));
+    }
     return detail::future_access<R>::make(std::move(fs));
   }
   if (jaccx::sim::device* dev = backend_device(b); dev != nullptr) {
     auto fs = std::make_shared<detail::future_state<R>>();
     {
       const detail::queue_bind bind(this, dev);
-      *fs->value() = detail::reduce_2d_dispatch(h, d, b, plus_reducer{}, eval);
+      *fs->value() = detail::reduce_execute<Rank>(b, nullptr, d,
+                                                  plus_reducer{}, f, args...);
     }
     fs->e = detail::finish_sim_op(*this, *dev, /*is_copy=*/false);
-    return detail::future_access<R>::make(std::move(fs));
-  }
-  if (b == backend::threads && detail::queue_is_async(*this)) {
-    auto fs = std::make_shared<detail::future_state<R>>();
-    auto es = std::make_shared<detail::event_state>();
-    fs->e = detail::event_access::make(es);
-    detail::queue_submit(
-        *this,
-        [fs, hname = std::string(h.name), hflops = h.flops_per_index,
-         hbytes = h.bytes_per_index, d, b,
-         fn = std::decay_t<F>(std::forward<F>(f)),
-         tup = std::tuple<detail::async_arg_t<Args&&>...>(
-             std::forward<Args>(args)...)](
-            jaccx::pool::thread_pool* pl) mutable {
-          const hints hh{.name = hname, .flops_per_index = hflops,
-                         .bytes_per_index = hbytes};
-          std::apply(
-              [&](auto&... as) {
-                *fs->value() = detail::reduce_2d_dispatch(
-                    hh, d, b, plus_reducer{},
-                    [&](index_t i, index_t j) { return fn(i, j, as...); },
-                    pl);
-              },
-              tup);
-        },
-        std::move(es));
     return detail::future_access<R>::make(std::move(fs));
   }
   detail::note_sync_op(*this, /*is_copy=*/false);
   return detail::make_ready_future<R>(
-      detail::reduce_2d_dispatch(h, d, b, plus_reducer{}, eval));
+      detail::reduce_execute<Rank>(b, nullptr, d, plus_reducer{}, f, args...));
 }
 
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, index_t, Args&...>
-auto queue::parallel_reduce(dims2 d, F&& f, Args&&... args) {
-  return parallel_reduce(hints{.name = "jacc.parallel_reduce2d"}, d,
-                         std::forward<F>(f), std::forward<Args>(args)...);
+template <class S, class F, class... Args>
+  requires detail::kernel_for<S, F, Args...>
+auto queue::parallel_reduce(S s, F&& f, Args&&... args) {
+  return parallel_reduce(
+      hints{.name = detail::reduce_names[detail::rank_of<S> - 1]}, s,
+      std::forward<F>(f), std::forward<Args>(args)...);
 }
 
 // --- queued overloads (host-blocking forms) ---------------------------------
@@ -717,10 +455,9 @@ auto queue::parallel_reduce(dims2 d, F&& f, Args&&... args) {
 // number" is the common closing step; counters and charges are identical to
 // the future form.
 
-/// 1D sum-reduction on a queue, with hints.
-template <class F, class... Args>
-auto parallel_reduce(queue& q, const hints& h, index_t n, F&& f,
-                     Args&&... args) {
+/// Sum-reduction on a queue, with hints, over an extent, dims2 or dims3.
+template <detail::launch_shape S, class F, class... Args>
+auto parallel_reduce(queue& q, const hints& h, S s, F&& f, Args&&... args) {
   if (detail::queue_capturing(q)) [[unlikely]] {
     // The value does not exist at record time, so returning it here would
     // silently hand back zero.  Capturable form: q.parallel_reduce(...)
@@ -729,150 +466,63 @@ auto parallel_reduce(queue& q, const hints& h, index_t n, F&& f,
         "host-blocking parallel_reduce is not capturable; use the "
         "future-returning queue::parallel_reduce inside graph capture");
   }
-  return q.parallel_reduce(h, n, std::forward<F>(f),
+  return q.parallel_reduce(h, s, std::forward<F>(f),
                            std::forward<Args>(args)...)
       .get();
 }
 
-/// 1D sum-reduction on a queue.
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, Args&...>
-auto parallel_reduce(queue& q, index_t n, F&& f, Args&&... args) {
-  return parallel_reduce(q, hints{.name = "jacc.parallel_reduce"}, n,
-                         std::forward<F>(f), std::forward<Args>(args)...);
-}
-
-/// 2D sum-reduction on a queue, with hints.
-template <class F, class... Args>
-auto parallel_reduce(queue& q, const hints& h, dims2 d, F&& f,
-                     Args&&... args) {
-  if (detail::queue_capturing(q)) [[unlikely]] {
-    jaccx::throw_usage_error(
-        "host-blocking parallel_reduce is not capturable; use the "
-        "future-returning queue::parallel_reduce inside graph capture");
-  }
-  return q.parallel_reduce(h, d, std::forward<F>(f),
-                           std::forward<Args>(args)...)
-      .get();
-}
-
-/// 2D sum-reduction on a queue.
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, index_t, Args&...>
-auto parallel_reduce(queue& q, dims2 d, F&& f, Args&&... args) {
-  return parallel_reduce(q, hints{.name = "jacc.parallel_reduce2d"}, d,
-                         std::forward<F>(f), std::forward<Args>(args)...);
+/// Sum-reduction on a queue.
+template <class S, class F, class... Args>
+  requires detail::kernel_for<S, F, Args...>
+auto parallel_reduce(queue& q, S s, F&& f, Args&&... args) {
+  return parallel_reduce(
+      q, hints{.name = detail::reduce_names[detail::rank_of<S> - 1]}, s,
+      std::forward<F>(f), std::forward<Args>(args)...);
 }
 
 // --- synchronous overloads (the paper's API) --------------------------------
-// Inside a queue_scope these route to the scope's queue.
+// Inside a queue_scope these route to the scope's queue; inside a
+// device_set_scope to the sharded reduction.
 
-/// 1D sum-reduction with hints: returns sum over i of f(i, args...).
-template <class F, class... Args>
-auto parallel_reduce(const hints& h, index_t n, F&& f, Args&&... args) {
+/// Sum-reduction with hints: the sum over the shape `s` (an extent, dims2
+/// or dims3) of f(i[, j[, k]], args...).  The index space is linearized
+/// with i fastest, so simulated-GPU lanes access column-major arrays
+/// coalesced, as the paper's multidimensional mapping does.
+template <detail::launch_shape S, class F, class... Args>
+auto parallel_reduce(const hints& h, S s, F&& f, Args&&... args) {
   if (queue* q = detail::active_queue(); q != nullptr) [[unlikely]] {
-    return parallel_reduce(*q, h, n, std::forward<F>(f),
+    return parallel_reduce(*q, h, s, std::forward<F>(f),
                            std::forward<Args>(args)...);
   }
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr) [[unlikely]] {
-    return detail::shard_reduce_1d(*ds, h, n, plus_reducer{},
-                                   std::forward<F>(f),
-                                   std::forward<Args>(args)...);
-  }
-  return detail::reduce_dispatch(h, n, plus_reducer{},
-                                 [&](index_t i) { return f(i, args...); });
+  const detail::launch_desc d = detail::launch_desc::of(h, s);
+  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0 && d.depth >= 0);
+  return detail::reduce_here<detail::rank_of<S>>(d, plus_reducer{}, f,
+                                                 args...);
 }
 
-/// 1D sum-reduction: `res = JACC.parallel_reduce(SIZE, dot, dx, dy)`.
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, Args&...>
-auto parallel_reduce(index_t n, F&& f, Args&&... args) {
-  return parallel_reduce(hints{.name = "jacc.parallel_reduce"}, n,
-                         std::forward<F>(f), std::forward<Args>(args)...);
+/// Sum-reduction: `res = JACC.parallel_reduce(SIZE, dot, dx, dy)`, or over
+/// `(M, N)` / `(M, N, K)` with dims2 / dims3.
+template <class S, class F, class... Args>
+  requires detail::kernel_for<S, F, Args...>
+auto parallel_reduce(S s, F&& f, Args&&... args) {
+  return parallel_reduce(
+      hints{.name = detail::reduce_names[detail::rank_of<S> - 1]}, s,
+      std::forward<F>(f), std::forward<Args>(args)...);
 }
 
 /// 1D min/max reductions (JACC.jl extension).
 template <class F, class... Args>
 auto parallel_reduce_min(index_t n, F&& f, Args&&... args) {
-  const hints h{.name = "jacc.parallel_reduce_min"};
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr) [[unlikely]] {
-    return detail::shard_reduce_1d(*ds, h, n, min_reducer{},
-                                   std::forward<F>(f),
-                                   std::forward<Args>(args)...);
-  }
-  return detail::reduce_dispatch(h, n, min_reducer{},
-                                 [&](index_t i) { return f(i, args...); });
+  return detail::reduce_here<1>(
+      detail::launch_desc::of(hints{.name = "jacc.parallel_reduce_min"}, n),
+      min_reducer{}, f, args...);
 }
 
 template <class F, class... Args>
 auto parallel_reduce_max(index_t n, F&& f, Args&&... args) {
-  const hints h{.name = "jacc.parallel_reduce_max"};
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr) [[unlikely]] {
-    return detail::shard_reduce_1d(*ds, h, n, max_reducer{},
-                                   std::forward<F>(f),
-                                   std::forward<Args>(args)...);
-  }
-  return detail::reduce_dispatch(h, n, max_reducer{},
-                                 [&](index_t i) { return f(i, args...); });
-}
-
-/// 2D sum-reduction with hints: sum over (i, j) of f(i, j, args...).  The
-/// index space is linearized with i fastest, so simulated-GPU lanes access
-/// column-major arrays coalesced, as the paper's multidimensional mapping
-/// does.
-template <class F, class... Args>
-auto parallel_reduce(const hints& h, dims2 d, F&& f, Args&&... args) {
-  if (queue* q = detail::active_queue(); q != nullptr) [[unlikely]] {
-    return parallel_reduce(*q, h, d, std::forward<F>(f),
-                           std::forward<Args>(args)...);
-  }
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr) [[unlikely]] {
-    return detail::shard_reduce_2d(*ds, h, d, plus_reducer{},
-                                   std::forward<F>(f),
-                                   std::forward<Args>(args)...);
-  }
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0);
-  return detail::reduce_2d_dispatch(
-      h, d, current_backend(), plus_reducer{},
-      [&](index_t i, index_t j) { return f(i, j, args...); });
-}
-
-/// 2D sum-reduction: `res = JACC.parallel_reduce((M, N), dot, dx, dy)`.
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, index_t, Args&...>
-auto parallel_reduce(dims2 d, F&& f, Args&&... args) {
-  return parallel_reduce(hints{.name = "jacc.parallel_reduce2d"}, d,
-                         std::forward<F>(f), std::forward<Args>(args)...);
-}
-
-/// 3D sum-reduction with hints: sum over (i, j, k) of f(i, j, k, args...),
-/// linearized i fastest — the same mapping parallel_for's 3D launch uses.
-/// There is no queued form yet: inside a queue_scope this throws rather
-/// than silently running out of order with the enqueued work.
-template <class F, class... Args>
-auto parallel_reduce(const hints& h, dims3 d, F&& f, Args&&... args) {
-  if (detail::active_queue() != nullptr) [[unlikely]] {
-    jaccx::throw_usage_error(
-        "3D parallel_reduce has no queued form; run it outside the "
-        "queue_scope or linearize onto dims2");
-  }
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr) [[unlikely]] {
-    return detail::shard_reduce_3d(*ds, h, d, plus_reducer{},
-                                   std::forward<F>(f),
-                                   std::forward<Args>(args)...);
-  }
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0 && d.depth >= 0);
-  return detail::reduce_3d_dispatch(
-      h, d, current_backend(), plus_reducer{},
-      [&](index_t i, index_t j, index_t k) { return f(i, j, k, args...); });
-}
-
-/// 3D sum-reduction: `res = jacc::parallel_reduce({M, N, K}, f, args...)`.
-template <class F, class... Args>
-  requires std::invocable<F&, index_t, index_t, index_t, Args&...>
-auto parallel_reduce(dims3 d, F&& f, Args&&... args) {
-  return parallel_reduce(hints{.name = "jacc.parallel_reduce3d"}, d,
-                         std::forward<F>(f), std::forward<Args>(args)...);
+  return detail::reduce_here<1>(
+      detail::launch_desc::of(hints{.name = "jacc.parallel_reduce_max"}, n),
+      max_reducer{}, f, args...);
 }
 
 } // namespace jacc

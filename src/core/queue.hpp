@@ -285,26 +285,20 @@ public:
   /// True while a capture is recording this queue's submissions.
   bool capturing() const;
 
-  /// Non-blocking sum-reduction on this queue: runs after everything
-  /// already submitted here and returns a jacc::future<R> instead of
-  /// blocking the host.  On simulated back ends the value is final
-  /// immediately (functional execution at enqueue) and only the *charges*
-  /// land on the queue's stream; on threads async lanes the host genuinely
-  /// continues while the lane computes.  The free
-  /// jacc::parallel_reduce(q, ...) overloads are these calls plus .get().
-  template <class F, class... Args>
-  auto parallel_reduce(const hints& h, index_t n, F&& f, Args&&... args);
+  /// Non-blocking sum-reduction on this queue over the shape `s` (an
+  /// extent, dims2 or dims3): runs after everything already submitted here
+  /// and returns a jacc::future<R> instead of blocking the host.  On
+  /// simulated back ends the value is final immediately (functional
+  /// execution at enqueue) and only the *charges* land on the queue's
+  /// stream; on threads async lanes the host genuinely continues while the
+  /// lane computes.  The free jacc::parallel_reduce(q, ...) overloads are
+  /// these calls plus .get().
+  template <detail::launch_shape S, class F, class... Args>
+  auto parallel_reduce(const hints& h, S s, F&& f, Args&&... args);
 
-  template <class F, class... Args>
-    requires std::invocable<F&, index_t, Args&...>
-  auto parallel_reduce(index_t n, F&& f, Args&&... args);
-
-  template <class F, class... Args>
-  auto parallel_reduce(const hints& h, dims2 d, F&& f, Args&&... args);
-
-  template <class F, class... Args>
-    requires std::invocable<F&, index_t, index_t, Args&...>
-  auto parallel_reduce(dims2 d, F&& f, Args&&... args);
+  template <class S, class F, class... Args>
+    requires detail::kernel_for<S, F, Args...>
+  auto parallel_reduce(S s, F&& f, Args&&... args);
 
   /// Simulated-clock position of this queue on the current backend's
   /// device (0 under real back ends).  Diagnostics and tests.

@@ -11,9 +11,13 @@
 // throughput, and the plan rebalances between launches when the measured
 // imbalance exceeds the threshold.
 //
-// NOT a standalone header: parallel_for.hpp includes it after the
-// launch-config helpers (gpu_config_*) it reuses, and parallel_reduce.hpp
-// builds the sharded reduction on the same visitors.
+// One rank-generic loop, shard_each<Rank>, serves 1-D, 2-D and 3-D
+// launches: each device gets its chunk as a local launch_desc plus the
+// global offset of its first slowest-dimension index.
+//
+// NOT a standalone header: parallel_for.hpp includes it after the launch
+// helpers (sim_gpu_for) it reuses, and parallel_reduce.hpp builds the
+// sharded reduction on the same loop.
 #pragma once
 
 #include <cstdint>
@@ -138,25 +142,19 @@ index_t shard_stage_args(device_set& ds, const hints& h, Args&... args) {
   return radius;
 }
 
-/// Sharded parallel_for body.  One prof scope covers the whole launch; the
-/// per-device loop chunks the slowest launch dimension under the set's
-/// current weights, binds every array to its local piece, waits for that
-/// device's halo stream when ghosts were exchanged, and launches with
-/// global indices.  Devices advance concurrently (each on its own clock);
+/// The per-device loop shared by sharded for and reduce: chunks the slowest
+/// launch dimension under the set's current weights, binds every array to
+/// its local piece, waits for that device's halo stream when ghosts were
+/// exchanged, and runs body(dev, local, slow0) — the chunk's descriptor
+/// and the global index of its first slow plane, so kernels keep global
+/// indices.  Devices advance concurrently (each on its own clock);
 /// ds.sync() is the wall-time barrier.
-template <int Rank, class F, class... Args>
-void shard_execute_for(device_set& ds, const launch_desc& d, F&& f,
-                       Args&&... args) {
+template <int Rank, class Body, class... Args>
+void shard_each(device_set& ds, const launch_desc& d, index_t radius,
+                const Body& body, Args&... args) {
   static_assert(Rank == 1 || Rank == 2 || Rank == 3);
-  const index_t radius = shard_stage_args(ds, d.h, args...);
-  const index_t slow = Rank == 1 ? d.rows : Rank == 2 ? d.cols : d.depth;
-  const index_t fast = Rank == 1 ? 1 : Rank == 2 ? d.rows : d.rows * d.cols;
-  const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_for, d.h.name,
-      static_cast<std::uint64_t>(d.count()), d.h.flops_per_index,
-      d.h.bytes_per_index, to_string(ds.target()));
   for (int dv = 0; dv < ds.devices(); ++dv) {
-    const auto owned = ds.chunk(slow, dv);
+    const auto owned = ds.chunk(d.slow<Rank>(), dv);
     if (owned.empty()) {
       continue;
     }
@@ -168,39 +166,30 @@ void shard_execute_for(device_set& ds, const launch_desc& d, F&& f,
     }
     (shard_bind_arg(dv, args), ...);
     const double t0 = dev.tl().now_us();
-    const index_t local = owned.size();
-    if constexpr (Rank == 1) {
-      const auto cfg = gpu_config_1d(dev, local, d.h);
-      jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-        const index_t li = ctx.global_x();
-        if (li < local) {
-          f(owned.begin + li, args...);
-        }
-      });
-    } else if constexpr (Rank == 2) {
-      const auto cfg = gpu_config_2d(d.rows, local, d.h);
-      jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-        const index_t i = ctx.global_x();
-        const index_t lj = ctx.global_y();
-        if (i < d.rows && lj < local) {
-          f(i, owned.begin + lj, args...);
-        }
-      });
-    } else {
-      const auto cfg = gpu_config_3d(dims3{d.rows, d.cols, local}, d.h);
-      jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-        const index_t i = ctx.global_x();
-        const index_t j = ctx.global_y();
-        const index_t lk = ctx.global_z();
-        if (i < d.rows && j < d.cols && lk < local) {
-          f(i, j, owned.begin + lk, args...);
-        }
-      });
-    }
+    const launch_desc local = d.with_slow<Rank>(owned.size());
+    body(dev, local, owned.begin);
     (shard_unbind_arg(args), ...);
-    ds.note_launch(dv, dev.tl().now_us() - t0, local * fast, d.h);
+    ds.note_launch(dv, dev.tl().now_us() - t0, local.count(), d.h);
   }
   ds.maybe_rebalance();
+}
+
+/// Sharded parallel_for body: one prof scope covers the whole launch, and
+/// each device runs one simulated-GPU launch over its chunk.
+template <int Rank, class F, class... Args>
+void shard_execute_for(device_set& ds, const launch_desc& d, F&& f,
+                       Args&&... args) {
+  const index_t radius = shard_stage_args(ds, d.h, args...);
+  const jaccx::prof::kernel_scope prof_scope(
+      jaccx::prof::construct::parallel_for, d.h.name,
+      static_cast<std::uint64_t>(d.count()), d.h.flops_per_index,
+      d.h.bytes_per_index, to_string(ds.target()));
+  shard_each<Rank>(
+      ds, d, radius,
+      [&](jaccx::sim::device& dev, const launch_desc& local, index_t slow0) {
+        sim_gpu_for<Rank>(dev, local, slow0, f, args...);
+      },
+      args...);
 }
 
 } // namespace jacc::detail

@@ -207,8 +207,11 @@ void thread_pool::run_region(index_t n, region_fn fn, void* ctx) {
   }
   // Fewer indices than workers: forking costs more than the region.  The
   // caller runs the whole range as worker 0 in one chunk, which is a legal
-  // distribution under either schedule.
-  if (width_ == 1 || n < static_cast<index_t>(width_)) {
+  // distribution under either schedule.  The same goes for a caller that
+  // finds the pool busy with another region: the descriptor and barrier
+  // below belong to the flag's holder.
+  if (width_ == 1 || n < static_cast<index_t>(width_) ||
+      busy_.exchange(true, std::memory_order_acquire)) {
     fn(ctx, 0, range{0, n});
     return;
   }
@@ -279,6 +282,7 @@ void thread_pool::run_region(index_t n, region_fn fn, void* ctx) {
     counters_[0].spin_ns.fetch_add(jaccx::prof::now_ns() - t_busy1,
                                    std::memory_order_relaxed);
   }
+  busy_.store(false, std::memory_order_release);
 }
 
 void thread_pool::worker_loop(unsigned worker) {

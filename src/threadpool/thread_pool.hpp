@@ -94,9 +94,11 @@ public:
   /// worker receives at most one chunk; under dynamic scheduling a worker
   /// may receive several.  Blocks until all chunks complete.  `fn` must not
   /// throw; kernels with failure modes should record status out-of-band
-  /// (E.28 is out of scope for hot loops).  A pool runs one region at a
-  /// time: the region descriptor and barrier state are shared, so
-  /// concurrent external callers must serialize their calls.
+  /// (E.28 is out of scope for hot loops).  A pool forks one region at a
+  /// time: a caller that finds it busy — another host thread's region, or
+  /// a nested call from inside a kernel — runs its whole range inline as
+  /// worker 0 in one chunk, the same legal distribution as the sub-width
+  /// path.  So any number of callers may share a pool; none ever blocks.
   using region_fn = void (*)(void* ctx, unsigned worker, range chunk);
   void run_region(index_t n, region_fn fn, void* ctx);
 
@@ -162,6 +164,8 @@ private:
   // on epoch_ does not steal the line the finish countdown or the dynamic
   // cursor is bouncing on.
   alignas(cache_line_bytes) std::atomic<std::uint64_t> epoch_{0};
+  /// Held by the caller whose region owns the descriptor and barrier.
+  alignas(cache_line_bytes) std::atomic<bool> busy_{false};
   alignas(cache_line_bytes) std::atomic<index_t> cursor_{0};
   alignas(cache_line_bytes) std::atomic<unsigned> done_{0};
   alignas(cache_line_bytes) std::atomic<unsigned> parked_{0};

@@ -7,12 +7,16 @@
 #include <cmath>
 #include <mutex>
 #include <numeric>
+#include <ostream>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "core/jacc.hpp"
+#include "mem/pool.hpp"
+#include "sim/device.hpp"
 
 namespace jacc {
 namespace {
@@ -274,6 +278,134 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(jacc::to_string(std::get<0>(info.param))) + "_n" +
              std::to_string(std::get<1>(info.param));
     });
+
+// --- per-rank simulated charges, pinned ----------------------------------------
+// One warmed 2-D and 3-D parallel_for + parallel_reduce pair on cuda_a100
+// and cpu_rome: the device clock, the summed DRAM/cache bytes, indices and
+// blocks of every event, the event names and the reduced value, as
+// literals.  Launch shapes, visit order, the linearized reduction order
+// and every charge name show up here bit for bit.
+
+struct rank_charges {
+  double now_us = 0.0;
+  std::uint64_t dram_bytes = 0;
+  std::uint64_t cache_bytes = 0;
+  std::uint64_t indices = 0;
+  std::uint64_t blocks = 0;
+  std::string events;
+  double sum = 0.0;
+};
+
+std::ostream& operator<<(std::ostream& os, const rank_charges& c) {
+  return os << std::hexfloat << "{" << c.now_us << ", " << c.dram_bytes
+            << ", " << c.cache_bytes << ", " << c.indices << ", " << c.blocks
+            << ", \"" << c.events << "\", " << c.sum << "}"
+            << std::defaultfloat;
+}
+
+/// Runs `step` (a for + reduce pair returning the sum) twice — the first
+/// warms the pooled reduce workspace and the cache model — and records the
+/// second run's charges.
+template <class Step>
+rank_charges measure_charges(backend be, const Step& step) {
+  auto& dev = *backend_device(be);
+  step();
+  dev.reset_clock();
+  rank_charges c;
+  c.sum = step();
+  c.now_us = dev.tl().now_us();
+  for (const auto& e : dev.tl().events()) {
+    c.dram_bytes += e.tally.dram_bytes;
+    c.cache_bytes += e.tally.cache_bytes;
+    c.indices += e.tally.indices;
+    c.blocks += e.tally.blocks;
+    c.events += e.name + ";";
+  }
+  return c;
+}
+
+rank_charges charges_2d(backend be) {
+  const jaccx::mem::scoped_mode pooled(jaccx::mem::pool_mode::bucket);
+  const scoped_backend sb(be);
+  const index_t rows = 37;
+  const index_t cols = 29; // not multiples of the 16x16 block
+  array2d<double> a(rows, cols);
+  return measure_charges(be, [&] {
+    parallel_for(dims2{rows, cols},
+                 [](index_t i, index_t j, array2d<double>& x) {
+                   x(i, j) += 1.0 / static_cast<double>(1 + i + 3 * j);
+                 },
+                 a);
+    return parallel_reduce(dims2{rows, cols},
+                           [](index_t i, index_t j, const array2d<double>& x) {
+                             return static_cast<double>(x(i, j));
+                           },
+                           a);
+  });
+}
+
+rank_charges charges_3d(backend be) {
+  const jaccx::mem::scoped_mode pooled(jaccx::mem::pool_mode::bucket);
+  const scoped_backend sb(be);
+  const index_t rows = 13;
+  const index_t cols = 11;
+  const index_t depth = 9; // not multiples of the 8x8x4 block
+  array3d<double> a(rows, cols, depth);
+  return measure_charges(be, [&] {
+    parallel_for(dims3{rows, cols, depth},
+                 [](index_t i, index_t j, index_t k, array3d<double>& x) {
+                   x(i, j, k) +=
+                       1.0 / static_cast<double>(1 + i + 3 * j + 7 * k);
+                 },
+                 a);
+    return parallel_reduce(
+        dims3{rows, cols, depth},
+        [](index_t i, index_t j, index_t k, const array3d<double>& x) {
+          return static_cast<double>(x(i, j, k));
+        },
+        a);
+  });
+}
+
+void expect_charges(const rank_charges& got, const rank_charges& want) {
+  EXPECT_EQ(got.now_us, want.now_us) << got;
+  EXPECT_EQ(got.dram_bytes, want.dram_bytes) << got;
+  EXPECT_EQ(got.cache_bytes, want.cache_bytes) << got;
+  EXPECT_EQ(got.indices, want.indices) << got;
+  EXPECT_EQ(got.blocks, want.blocks) << got;
+  EXPECT_EQ(got.events, want.events) << got;
+  EXPECT_EQ(got.sum, want.sum) << got;
+}
+
+TEST(RankCharges, TwoDOnA100) {
+  expect_charges(charges_2d(backend::cuda_a100),
+                 {0x1.c06b56fd5e19ep+4, 8, 25808, 3584, 10,
+                  "jacc.parallel_for;jacc.parallel_reduce2d;"
+                  "jacc.parallel_reduce2d;d2h jacc.reduce.d2h;",
+                  0x1.a962f3ab13c96p+5});
+}
+
+TEST(RankCharges, ThreeDOnA100) {
+  expect_charges(charges_3d(backend::cuda_a100),
+                 {0x1.c09f2188c0718p+4, 8, 30944, 5120, 16,
+                  "jacc.parallel_for;jacc.parallel_reduce3d;"
+                  "jacc.parallel_reduce3d;d2h jacc.reduce.d2h;",
+                  0x1.1d51249eea1d6p+6});
+}
+
+TEST(RankCharges, TwoDOnRome) {
+  expect_charges(charges_2d(backend::cpu_rome),
+                 {0x1.c62ff5c6c11a2p+5, 0, 25752, 2146, 93,
+                  "jacc.parallel_for;jacc.parallel_reduce2d;",
+                  0x1.a962f3ab13c9dp+5});
+}
+
+TEST(RankCharges, ThreeDOnRome) {
+  expect_charges(charges_3d(backend::cpu_rome),
+                 {0x1.ccfd5f56a7ac8p+5, 0, 30888, 2574, 73,
+                  "jacc.parallel_for;jacc.parallel_reduce3d;",
+                  0x1.1d51249eea1dcp+6});
+}
 
 } // namespace
 } // namespace jacc

@@ -1,4 +1,4 @@
-// Correctness tests for jacc::parallel_reduce: sum/min/max, 1D/2D, on every
+// Correctness tests for jacc::parallel_reduce: sum/min/max, 1D/2D/3D, on every
 // back end, including the fiber-based two-kernel GPU scheme.
 #include <gtest/gtest.h>
 
@@ -108,6 +108,22 @@ TEST_P(ReduceAllBackends, TwoDVisitsEveryPair) {
       });
   const double n = static_cast<double>(rows * cols);
   EXPECT_DOUBLE_EQ(r, (n - 1.0) * n / 2.0);
+}
+
+TEST_P(ReduceAllBackends, ThreeDVisitsEveryTriple) {
+  // Sum of (i + j*rows + k*rows*cols) over all (i, j, k) equals the sum of
+  // 0..rows*cols*depth-1.  Integer-valued terms keep every partial sum
+  // exact, so the result is exact on every back end.
+  const index_t rows = 13;
+  const index_t cols = 11;
+  const index_t depth = 9;
+  const double r = parallel_reduce(
+      dims3{rows, cols, depth},
+      [rows, cols](index_t i, index_t j, index_t k) {
+        return static_cast<double>(i + j * rows + k * rows * cols);
+      });
+  const double n = static_cast<double>(rows * cols * depth);
+  EXPECT_EQ(r, (n - 1.0) * n / 2.0);
 }
 
 TEST_P(ReduceAllBackends, IntegerReduction) {

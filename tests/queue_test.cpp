@@ -603,6 +603,47 @@ TEST_F(QueueTest, FutureGetMatchesSyncReduceOnThreads) {
   EXPECT_EQ(async_val, sync);
 }
 
+double cell_term(index_t i, index_t j, index_t k, const array3d<double>& a) {
+  return static_cast<double>(a(i, j, k));
+}
+
+/// A 13x11x9 array holding each cell's linear index, and the exact sum:
+/// integer-valued terms make every association order give the same double.
+struct cells3d {
+  dims3 d{13, 11, 9};
+  std::vector<double> host = iota_vec(13 * 11 * 9, 0.0);
+  array3d<double> a{host.data(), d.rows, d.cols, d.depth};
+  double sum() const {
+    double s = 0.0;
+    for (const double v : host) {
+      s += v;
+    }
+    return s;
+  }
+};
+
+TEST_F(QueueTest, ThreeDReduceFutureMatchesSerialSum) {
+  set_backend(backend::threads);
+  cells3d c;
+  queue q;
+  auto f = q.parallel_reduce(c.d, cell_term, c.a);
+  EXPECT_TRUE(f.valid());
+  EXPECT_EQ(f.get(), c.sum());
+}
+
+TEST_F(QueueTest, ThreeDReduceInsideQueueScopeMatchesSerialSum) {
+  set_backend(backend::threads);
+  cells3d c;
+  queue q;
+  double got = 0.0;
+  {
+    queue_scope scope(q);
+    got = parallel_reduce(c.d, cell_term, c.a);
+  }
+  EXPECT_EQ(got, c.sum());
+  q.synchronize();
+}
+
 TEST_F(QueueTest, DefaultQueueReduceReturnsReadyFuture) {
   set_backend(backend::threads);
   const index_t n = 4096;

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "threadpool/thread_pool.hpp"
@@ -291,6 +292,47 @@ TEST(ThreadPool, NestedDataParallelWritesDoNotRace) {
   for (index_t i = 0; i < n; i += 997) {
     EXPECT_DOUBLE_EQ(x[static_cast<std::size_t>(i)], 6.0);
   }
+}
+
+TEST(ThreadPool, ConcurrentExternalCallersCoverEveryIndex) {
+  // Two host threads share one pool.  Whichever finds it busy runs its
+  // range inline, so every call still covers each index exactly once and
+  // nobody waits on a barrier that belongs to the other caller's region.
+  thread_pool p(4);
+  const index_t n = 512;
+  constexpr int rounds = 2000;
+  std::atomic<int> arrived{0};
+  const auto caller = [&p, &arrived, n](int& bad_calls) {
+    // Start together, so the two callers' regions really overlap.
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) {
+    }
+    std::vector<int> hits(static_cast<std::size_t>(n), 0);
+    const auto check = [&] {
+      bad_calls += std::count(hits.begin(), hits.end(), 1) == n ? 0 : 1;
+      std::fill(hits.begin(), hits.end(), 0);
+    };
+    for (int r = 0; r < rounds; ++r) {
+      p.parallel_for_index(n, [&](index_t i) {
+        hits[static_cast<std::size_t>(i)] += 1;
+      });
+      check();
+      p.parallel_chunks(n, [&](unsigned, range c) {
+        for (index_t i = c.begin; i < c.end; ++i) {
+          hits[static_cast<std::size_t>(i)] += 1;
+        }
+      });
+      check();
+    }
+  };
+  int bad_a = 0;
+  int bad_b = 0;
+  std::thread ta([&] { caller(bad_a); });
+  std::thread tb([&] { caller(bad_b); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(bad_a, 0);
+  EXPECT_EQ(bad_b, 0);
 }
 
 } // namespace
